@@ -10,7 +10,7 @@
 ///
 /// Usage:
 ///   streampart_cli <workload-file> [--hosts N] [--ps "srcIP, destIP"]
-///                  [--run SECONDS] [--threads N] [--exec-mode MODE]
+///                  [--run SECONDS] [--exec-mode MODE]
 ///                  [--tcp-splitter]
 ///                  [--stats[=PATH]] [--trace-events[=PATH]]
 ///                  [--fault-plan FILE] [--recover]
@@ -128,11 +128,6 @@ void PrintUsage(FILE* out, const char* prog) {
       "simulated\n"
       "                        cluster and report per-host load (built-in\n"
       "                        TCP/PKT schema only)\n"
-      "  --threads N           run the cluster on N worker threads "
-      "(morsel-driven\n"
-      "                        scheduler, docs/THREADING.md); the results "
-      "and the\n"
-      "                        run ledger are byte-identical to --threads 1\n"
       "  --exec-mode MODE      delivery path of the batched route: tuple, "
       "batch\n"
       "                        (default), or columnar "
@@ -217,7 +212,6 @@ int main(int argc, char** argv) {
   bool recover = false;
   uint64_t checkpoint_interval = 0;
   uint64_t epoch_width = 0;
-  uint64_t threads = 1;
   ExecMode exec_mode = ExecMode::kBatch;
   double sketch_eps = 0;
   double sketch_confidence = 0;
@@ -225,18 +219,6 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
       hosts = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 ||
-               std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const char* value = argv[i][9] == '=' ? argv[i] + 10
-                          : i + 1 < argc    ? argv[++i]
-                                            : nullptr;
-      if (!ParsePositiveInt(value, &threads)) {
-        std::fprintf(stderr,
-                     "--threads expects a positive integer (worker thread "
-                     "count; 1 = single-threaded), got '%s'\n",
-                     value == nullptr ? "" : value);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--exec-mode") == 0 ||
                std::strncmp(argv[i], "--exec-mode=", 12) == 0) {
       const char* value = argv[i][11] == '=' ? argv[i] + 12
@@ -416,7 +398,6 @@ int main(int argc, char** argv) {
     tc.packets_per_sec = 10000;
     PacketTraceGenerator gen(tc);
     ClusterRuntime runtime(&graph, &*plan, cluster);
-    if (threads > 1) runtime.set_parallel(static_cast<int>(threads));
     runtime.set_exec_mode(exec_mode);
     if (trace_events) runtime.set_trace_events_enabled(true);
     if (!fault_plan_path.empty()) {
@@ -439,11 +420,6 @@ int main(int argc, char** argv) {
     }
     Status st = runtime.Build(ps);
     if (!st.ok()) return Fail(st);
-    if (threads > 1 && !runtime.parallel_active()) {
-      std::printf("note: --threads %llu fell back to single-threaded: %s\n",
-                  static_cast<unsigned long long>(threads),
-                  runtime.parallel_fallback_reason().c_str());
-    }
     // The batched route degenerates per the selected exec mode (and to
     // per-tuple delivery while any controller is armed); all accounted
     // metrics are identical across modes.
@@ -463,11 +439,6 @@ int main(int argc, char** argv) {
       runtime.PushSourceBatch("PKT", pending);
     }
     runtime.FinishSources();
-    if (exec_mode == ExecMode::kColumnar &&
-        !runtime.columnar_fallback_reason().empty()) {
-      std::printf("note: --exec-mode columnar fell back to row batches: %s\n",
-                  runtime.columnar_fallback_reason().c_str());
-    }
     CpuCostParams cpu;
     SeriesTable table("Simulated run (" + std::to_string(run_seconds) +
                           "s @ 10k pkts/s)",
@@ -708,10 +679,10 @@ int main(int argc, char** argv) {
         std::printf("\nwrote run ledger to %s\n", stats_path.c_str());
       }
     }
-  } else if (stats || recover || epoch_width > 0 || threads > 1) {
+  } else if (stats || recover || epoch_width > 0) {
     std::fprintf(stderr,
                  "--stats/--trace-events/--recover/--checkpoint-interval/"
-                 "--epoch-width/--threads require --run\n");
+                 "--epoch-width require --run\n");
     return 2;
   }
   return 0;

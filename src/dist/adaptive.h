@@ -109,8 +109,7 @@ struct AdaptiveAction {
 };
 
 /// \brief Executes the `adapt` directive of a FaultPlan. Owned by
-/// ClusterRuntime; every hook is called from the single simulation thread
-/// (the driver thread in parallel barrier mode).
+/// ClusterRuntime; every hook is called from the single simulation thread.
 class AdaptiveController {
  public:
   /// Lazily materializes the telemetry scope `adaptive`; may return null

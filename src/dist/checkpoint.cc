@@ -41,13 +41,6 @@ void RecoveryCoordinator::BeginCheckpoint() {
   last_ckpt_eid_ = current_eid_;
 }
 
-void RecoveryCoordinator::PrepareOp(int op) {
-  logs_[op];
-  suppress_[op];
-}
-
-void RecoveryCoordinator::PrepareEdge(const EdgeKey& key) { edges_[key]; }
-
 bool RecoveryCoordinator::ShouldSerialize(int op) const {
   if (blobs_.count(op) == 0) return true;
   auto it = logs_.find(op);
@@ -122,7 +115,7 @@ uint64_t RecoveryCoordinator::RecordSend(const EdgeKey& key,
   pending.attempts = 0;
   pending.next_retry_eid = current_eid_ + 1;
   edge.pending.emplace(seq, std::move(pending));
-  ++edge.sent;
+  ++section_.reliable_sent;
   return seq;
 }
 
@@ -134,7 +127,7 @@ bool RecoveryCoordinator::Deliver(const EdgeKey& key, uint64_t seq,
   // stops retransmission.
   edge.pending.erase(seq);
   if (seq <= edge.applied_seq || edge.arrived.count(seq) != 0) {
-    ++edge.dups;
+    ++section_.retx_dup_discarded;
     return false;
   }
   edge.arrived.emplace(seq, tuple);
@@ -142,7 +135,7 @@ bool RecoveryCoordinator::Deliver(const EdgeKey& key, uint64_t seq,
   auto it = edge.arrived.find(edge.applied_seq + 1);
   while (it != edge.arrived.end() && it->first == edge.applied_seq + 1) {
     apply(key.port, it->second);
-    ++edge.applied;
+    ++section_.reliable_applied;
     edge.applied_seq = it->first;
     it = edge.arrived.erase(it);
   }
@@ -220,28 +213,24 @@ void RecoveryCoordinator::DrainAllPending(const ResendFn& resend) {
 }
 
 bool RecoveryCoordinator::Quiesced() const {
-  uint64_t sent = 0;
-  uint64_t applied = 0;
   for (const auto& [key, edge] : edges_) {
     if (!edge.pending.empty() || !edge.arrived.empty()) return false;
-    sent += edge.sent;
-    applied += edge.applied;
   }
-  return sent == applied;
+  return section_.reliable_sent == section_.reliable_applied;
 }
 
 void RecoveryCoordinator::SetSuppression(int op, uint64_t n) {
-  SuppressWindow& window = suppress_[op];
-  window.active = n != 0;
-  window.limit = n;
+  if (n == 0) {
+    suppress_.erase(op);
+  } else {
+    suppress_[op] = n;
+  }
 }
 
 bool RecoveryCoordinator::Suppress(int op, uint64_t idx) {
   auto it = suppress_.find(op);
-  if (it == suppress_.end() || !it->second.active || idx > it->second.limit) {
-    return false;
-  }
-  ++it->second.count;
+  if (it == suppress_.end() || idx > it->second) return false;
+  ++section_.replay_suppressed;
   return true;
 }
 
@@ -253,15 +242,6 @@ void RecoveryCoordinator::CountRestore(uint64_t bytes) {
 RecoverySection RecoveryCoordinator::section(
     double cycles_per_checkpoint_byte) const {
   RecoverySection out = section_;
-  // Fold the per-edge and per-window shards (map order, deterministic).
-  for (const auto& [key, edge] : edges_) {
-    out.reliable_sent += edge.sent;
-    out.reliable_applied += edge.applied;
-    out.retx_dup_discarded += edge.dups;
-  }
-  for (const auto& [op, window] : suppress_) {
-    out.replay_suppressed += window.count;
-  }
   out.checkpoint_cost_cycles =
       cycles_per_checkpoint_byte *
       static_cast<double>(out.checkpoint_bytes + out.restored_bytes);

@@ -101,22 +101,6 @@ class RecoveryCoordinator {
 
   const RecoveryConfig& config() const { return config_; }
 
-  // -- Structure pre-creation (parallel execution) ---------------------------
-  //
-  // Under parallel execution (dist/parallel_exec.h) worker threads touch
-  // recovery state for the host they hold a claim on: delivery logs,
-  // per-edge sequencing, and suppression windows. Those lookups must not
-  // mutate the owning maps (a map insert from one host's worker would race
-  // another host's lookups), so ClusterRuntime::Build pre-creates every
-  // operator and edge entry up front. Pre-created empty entries are
-  // observationally identical to absent ones (ShouldSerialize, section(),
-  // Quiesced() all treat present-empty and missing alike).
-
-  /// \brief Ensures \p op's delivery log and suppression window exist.
-  void PrepareOp(int op);
-  /// \brief Ensures \p key's edge-sequencing state exists.
-  void PrepareEdge(const EdgeKey& key);
-
   // -- Epoch clock -----------------------------------------------------------
 
   /// \brief Observes epoch id \p eid (source time / epoch_width). Returns
@@ -274,26 +258,12 @@ class RecoveryCoordinator {
     size_t payload_offset = 0;  ///< payload start within envelope
     uint64_t tuples_out = 0;    ///< output position at snapshot time
   };
-  /// Sequencing state of one acked edge. The reliable-delivery counters
-  /// live here (not in the shared RecoverySection) so that parallel workers
-  /// only ever write state of edges they hold the host claim for;
-  /// section() folds them deterministically.
+  /// Sequencing state of one acked edge.
   struct EdgeState {
     uint64_t next_seq = 1;     ///< next sequence number to assign
     uint64_t applied_seq = 0;  ///< highest contiguously applied sequence
-    uint64_t sent = 0;         ///< reliable sends registered on this edge
-    uint64_t applied = 0;      ///< in-order applies into the consumer
-    uint64_t dups = 0;         ///< retransmit duplicates discarded
     std::map<uint64_t, PendingSend> pending;  ///< sent, unacked
     std::map<uint64_t, Tuple> arrived;        ///< received, awaiting a gap
-  };
-  /// Replay-suppression window of one operator. `active` flips instead of
-  /// erasing the entry so suppressed counts survive disarming and the map
-  /// structure stays stable for parallel lookups.
-  struct SuppressWindow {
-    uint64_t limit = 0;  ///< suppress emission indices <= limit
-    bool active = false;
-    uint64_t count = 0;  ///< emissions suppressed through this window
   };
 
   RecoveryConfig config_;
@@ -303,7 +273,9 @@ class RecoveryCoordinator {
   std::map<int, Blob> blobs_;
   std::map<int, std::vector<Delivery>> logs_;
   std::map<EdgeKey, EdgeState> edges_;
-  std::map<int, SuppressWindow> suppress_;
+  /// Armed replay-suppression windows: op -> highest suppressed emission
+  /// index.
+  std::map<int, uint64_t> suppress_;
   RecoverySection section_;
 };
 

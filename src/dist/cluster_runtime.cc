@@ -12,18 +12,6 @@
 namespace streampart {
 
 namespace {
-/// Pipeline-mode morsel size: large enough to amortize queue traffic, small
-/// enough to keep the work-stealing pool balanced.
-constexpr size_t kMorselTuples = 512;
-
-/// Barrier-mode replay-order context of the work item the calling worker is
-/// currently processing: `seq` is the item's global routing sequence number,
-/// `sub` counts the staged messages its processing produced (cascades
-/// included), so (seq, sub) totally orders every staged message in exact
-/// sequential call order.
-thread_local uint64_t tls_stage_seq = 0;
-thread_local uint32_t tls_stage_sub = 0;
-
 /// Instantiates the sketch-leg operator for a plan node annotated with a
 /// SketchRole (the optimizer keeps such nodes as kQuery so only this factory
 /// dispatches on the role). Returns nullptr for unannotated nodes.
@@ -87,18 +75,8 @@ void ClusterRuntime::set_trace_events_enabled(bool enabled) {
   for (auto& reg : host_stats_) reg->set_events_enabled(enabled);
 }
 
-void ClusterRuntime::set_parallel(int threads) {
-  SP_CHECK(!built_) << "set_parallel must precede Build";
-  SP_CHECK(threads >= 1) << "set_parallel requires threads >= 1, got "
-                         << threads;
-  parallel_threads_ = threads;
-}
-
 void ClusterRuntime::set_fault_plan(FaultPlan plan) {
   SP_CHECK(!built_) << "set_fault_plan must precede Build";
-  // Captured before the plan moves: budget-armed plans cannot run in
-  // parallel (StartParallel records the fallback reason).
-  has_budgets_ = !plan.budgets.empty();
   recovery_.reset();
   if (plan.checkpoint_interval > 0) {
     // Lossless recovery is independent of the fault machinery proper: a plan
@@ -358,32 +336,6 @@ Status ClusterRuntime::Build(const PartitionSet& actual_ps) {
     }
     BuildAdaptiveTopology();
   }
-
-  if (recovery_active()) {
-    // Pre-create every delivery log, suppression window, and acked-edge
-    // shard the run can touch. Present-but-empty entries are semantically
-    // identical to missing ones (checkpoint.h documents the invariant), and
-    // pre-creation means parallel workers only ever write map slots that
-    // already exist — no structural map mutation off the driver thread.
-    for (int id : plan_->TopoOrder()) {
-      if (instances_[id] != nullptr) recovery_->PrepareOp(id);
-    }
-    for (const auto& [name, partitions] : routing_) {
-      for (size_t p = 0; p < partitions.size(); ++p) {
-        for (const Edge& e : partitions[p]) {
-          recovery_->PrepareEdge(
-              EdgeKey{-(static_cast<int>(p) + 1), e.consumer, e.port});
-        }
-      }
-    }
-    for (const auto& [child, edges] : remote_edges_) {
-      for (const Edge& e : edges) {
-        recovery_->PrepareEdge(EdgeKey{child, e.consumer, e.port});
-      }
-    }
-  }
-
-  StartParallel();
   return Status::OK();
 }
 
@@ -696,34 +648,14 @@ void ClusterRuntime::AttachRemoteSinks(int child) {
     // Per-tuple only: acked edges sequence, log and (during replay)
     // suppress at tuple granularity. EmitBatch falls back to a per-tuple
     // loop over this sink; only the advisory batch counters differ.
-    prod->AddSink([self, child](const Tuple& t) {
-      if (self->InBarrierWorker()) {
-        self->WorkerEmitRemoteReliable(child, t);
-        return;
-      }
-      self->EmitRemoteReliable(child, t);
-    });
+    prod->AddSink(
+        [self, child](const Tuple& t) { self->EmitRemoteReliable(child, t); });
     return;
   }
   const std::vector<Edge>* shared_edges = &remote_edges_[child];
   int from = plan_->op(child).host;
   prod->AddSink(
       [self, from, shared_edges](const Tuple& t) {
-        if (self->InBarrierWorker()) {
-          // Workers never run work for dead hosts (kills execute at
-          // barriers and the driver stops routing to them), so the
-          // dead-producer suppression branch is unreachable here. Every
-          // cross-host delivery is staged and replayed by the driver in
-          // exact sequential order at the next barrier.
-          for (const Edge& e : *shared_edges) {
-            self->StageEdgeTuple(from, -1, -1, e, t);
-          }
-          return;
-        }
-        if (self->InPipelineWorker()) {
-          self->PipelineStageTuple(from, *shared_edges, t);
-          return;
-        }
         if (self->faults_active()) {
           if (!self->faults_->host_alive(from)) {
             // The producer's host died; its flush output is suppressed at
@@ -749,32 +681,6 @@ void ClusterRuntime::AttachRemoteSinks(int child) {
         }
       },
       [self, from, shared_edges](TupleSpan batch) {
-        if (self->InBarrierWorker()) {
-          if (self->faults_active()) {
-            // Mirror the sequential degeneration below: channel faults act
-            // per tuple, so each tuple is staged (and replayed) separately.
-            for (const Tuple& t : batch) {
-              for (const Edge& e : *shared_edges) {
-                self->StageEdgeTuple(from, -1, -1, e, t);
-              }
-            }
-            return;
-          }
-          // Overload-only barrier mode: the batch crosses as one transfer,
-          // exactly like the sequential batch path.
-          size_t worker_enc_bytes = 0;
-          auto worker_decoded = RoundTripBatch(batch, &worker_enc_bytes);
-          SP_CHECK(worker_decoded.ok())
-              << worker_decoded.status().ToString();
-          for (const Edge& e : *shared_edges) {
-            self->StageEdgeBatch(from, e, *worker_decoded, worker_enc_bytes);
-          }
-          return;
-        }
-        if (self->InPipelineWorker()) {
-          self->PipelineStageBatch(from, *shared_edges, batch);
-          return;
-        }
         if (self->faults_active()) {
           // Under faults the batch fast path degenerates to per-tuple
           // deliveries: kills and channel faults act at tuple granularity,
@@ -812,9 +718,9 @@ void ClusterRuntime::AttachResultSink(int id) {
   std::string name = plan_->op(id).stream_name;
   ClusterRuntime* self = this;
   // Resolve the output batch once, at attach time: map nodes are stable, so
-  // parallel workers append through the pointer without ever mutating the
-  // outputs map itself. MakeLedger skips batches that stayed empty, keeping
-  // the ledger's lazy-creation shape.
+  // the sink appends through the pointer instead of a per-tuple map lookup.
+  // MakeLedger skips batches that stayed empty, keeping the ledger's
+  // lazy-creation shape.
   TupleBatch* out = &result_.outputs[name];
   if (recovery_active()) {
     instances_[id]->AddSink([self, id, out](const Tuple& t) {
@@ -1216,14 +1122,6 @@ void ClusterRuntime::ReplayDeliveryLogs(const std::vector<int>& migrated,
 
 void ClusterRuntime::PushSource(const std::string& source,
                                 const Tuple& tuple) {
-  if (workers_running_) {
-    if (parallel_mode_ == ParallelMode::kBarrier) {
-      ParallelPushSource(source, tuple);
-    } else {
-      PipelinePushTuple(source, tuple);
-    }
-    return;
-  }
   auto it = routing_.find(source);
   if (it == routing_.end() || partitioner_ == nullptr) return;
   if (faults_active() || recovery_active() || overload_active() ||
@@ -1333,16 +1231,6 @@ void ClusterRuntime::DeliverSource(const std::string& source, int p,
 
 void ClusterRuntime::PushSourceBatch(const std::string& source,
                                      TupleSpan batch) {
-  if (workers_running_) {
-    if (parallel_mode_ == ParallelMode::kBarrier) {
-      // Barrier mode implies a live controller: the batch degenerates to
-      // per-tuple routing exactly as the sequential path below does.
-      for (const Tuple& tuple : batch) ParallelPushSource(source, tuple);
-    } else {
-      PipelinePushBatch(source, batch);
-    }
-    return;
-  }
   if (faults_active() || recovery_active() || overload_active() ||
       adaptive_active()) {
     // Kills act at tuple granularity (a host can die mid-batch), channel
@@ -1446,11 +1334,6 @@ void ClusterRuntime::DeliverBucketColumns(const std::vector<Edge>& edges,
 void ClusterRuntime::FinishSources() {
   if (finished_) return;
   finished_ = true;
-  // Wind down the worker pool first: flush buffered morsels (pipeline) or
-  // replay the final staged window (barrier), then quiesce and join. From
-  // here on every delivery path takes its single-threaded branch, so the
-  // flush cascade below runs exactly the sequential code.
-  StopParallel();
   if (overload_active()) {
     // Close the final streaming epoch, then drain any remaining deferred
     // backlog across synthetic trailing epochs — each opens a fresh budget,
@@ -1511,422 +1394,6 @@ void ClusterRuntime::FinishSources() {
     } else {
       result_.hosts[op_host_[id]].ops += instances_[id]->stats();
     }
-  }
-}
-
-void ClusterRuntime::StartParallel() {
-  parallel_mode_ = ParallelMode::kOff;
-  parallel_fallback_reason_.clear();
-  if (parallel_threads_ <= 1) return;
-  if (has_budgets_) {
-    parallel_fallback_reason_ =
-        "budget-armed plan: per-tuple budget guards probe live operator "
-        "state mid-epoch, which has no deterministic parallel schedule";
-    return;
-  }
-  if (trace_events_enabled_) {
-    parallel_fallback_reason_ =
-        "trace events record execution order, which is not deterministic "
-        "across worker threads";
-    return;
-  }
-  if (faults_active()) {
-    for (const RejoinSpec& rejoin : faults_->plan().rejoins) {
-      if (rejoin.host >= config_.num_hosts) {
-        // Worker rings are sized per host pair at start; a mid-run host-set
-        // growth would index past them. Known-host membership plans
-        // (partition/heal/rejoin of a killed host) still run in barrier mode.
-        parallel_fallback_reason_ =
-            "elastic rejoin grows the host set mid-run; worker rings are "
-            "sized at start";
-        return;
-      }
-    }
-  }
-  bool controllers = faults_active() || recovery_active() ||
-                     overload_active() || adaptive_active();
-  parallel_mode_ = controllers ? ParallelMode::kBarrier : ParallelMode::kPipeline;
-  if (exec_mode_ == ExecMode::kColumnar) {
-    // Workers move row morsels through SPSC rings; columnar delivery is a
-    // sequential-path optimization. Outputs and the RunLedger are unchanged
-    // by this fallback (all three exec modes are differentially identical).
-    columnar_fallback_reason_ =
-        "parallel execution moves row morsels between workers; columnar "
-        "delivery applies to sequential runs only";
-    exec_mode_ = ExecMode::kBatch;
-  }
-  const bool pipeline = parallel_mode_ == ParallelMode::kPipeline;
-  // Barrier mode moves single tuples, so it gets deeper queues; pipeline
-  // mode moves morsels, so shallow queues already hold plenty of work.
-  exec_ = std::make_unique<ParallelExecutor>(
-      config_.num_hosts, parallel_threads_, /*worker_rings=*/pipeline,
-      /*work_capacity=*/pipeline ? 256 : 4096,
-      /*ring_capacity=*/pipeline ? 256 : 4096,
-      [this](int host, ParallelWorkItem&& item) {
-        WorkerProcessItem(host, std::move(item));
-      },
-      [this](int host, ParallelRingMsg&& msg) {
-        WorkerProcessRing(host, std::move(msg));
-      });
-  exec_->Start();
-  workers_running_ = true;
-  parallel_start_ = std::chrono::steady_clock::now();
-}
-
-void ClusterRuntime::StopParallel() {
-  if (!workers_running_) return;
-  if (parallel_mode_ == ParallelMode::kPipeline) FlushPendingMorsels();
-  exec_->Quiesce();
-  if (parallel_mode_ == ParallelMode::kBarrier) {
-    // Replay the final staged window before the pool stops; cascades run
-    // driver-inline through the sequential code.
-    exec_->ReplayMerged(
-        [this](ParallelRingMsg&& msg) { ReplayStagedMsg(std::move(msg)); });
-  }
-  exec_->Stop();
-  workers_running_ = false;
-  parallel_wall_ms_ = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - parallel_start_)
-                          .count();
-  FoldSchedulerStats();
-}
-
-void ClusterRuntime::FoldSchedulerStats() {
-  StatsScope* sched = sched_stats_.GetScope("scheduler");
-  if (sched == nullptr) return;  // telemetry compiled out
-  sched->counter(stats::kSchedThreads)->Add(parallel_threads_);
-  sched->counter(stats::kSchedBarriers)->Add(barriers_run_);
-  sched->gauge(stats::kSchedWallMs)
-      ->Set(static_cast<int64_t>(parallel_wall_ms_));
-  uint64_t morsels_total = 0;
-  const auto& host_stats = exec_->host_stats();
-  for (size_t h = 0; h < host_stats.size(); ++h) {
-    StatsScope* worker =
-        sched_stats_.GetScope("worker#" + std::to_string(h));
-    worker->counter(stats::kWorkerMorsels)->Add(host_stats[h].morsels);
-    worker->counter(stats::kWorkerTuples)->Add(host_stats[h].tuples);
-    worker->counter(stats::kWorkerStagedMsgs)->Add(host_stats[h].staged);
-    worker->counter(stats::kWorkerSteals)->Add(host_stats[h].steals);
-    morsels_total += host_stats[h].morsels;
-  }
-  sched->counter(stats::kSchedMorsels)->Add(morsels_total);
-}
-
-void ClusterRuntime::ParallelBarrier() {
-  ++barriers_run_;
-  exec_->Quiesce();
-  exec_->ReplayMerged(
-      [this](ParallelRingMsg&& msg) { ReplayStagedMsg(std::move(msg)); });
-}
-
-void ClusterRuntime::ParallelPushSource(const std::string& source,
-                                        const Tuple& tuple) {
-  auto it = routing_.find(source);
-  if (it == routing_.end() || partitioner_ == nullptr) return;
-  if (source_time_idx_ >= 0 &&
-      source_time_idx_ < static_cast<int>(tuple.values().size())) {
-    uint64_t time = tuple.at(source_time_idx_).AsUint64();
-    if (!barrier_time_seen_ || time > barrier_time_) {
-      // Every controller action (channel drains, retransmits, checkpoints,
-      // overload epochs, kills) keys off a strict source-time increase, so
-      // a barrier before the first tuple of each new time step reproduces
-      // the sequential housekeeping exactly: quiesce the workers, replay
-      // staged cross-host sends in global sequential order, then run the
-      // sequential time hook on settled state.
-      ParallelBarrier();
-      barrier_time_seen_ = true;
-      barrier_time_ = time;
-      ObserveSourceTime(tuple);
-    }
-  }
-  int p = partitioner_->PartitionOf(tuple);
-  if (!survivor_map_.empty()) p = survivor_map_[p];
-  if (p >= static_cast<int>(it->second.size())) return;
-  int src_host = partition_hosts_.at(source)[p];
-  if (faults_active() && !faults_->host_alive(src_host)) {
-    faults_->CountSourceTupleLost();
-    return;
-  }
-  if (overload_active()) {
-    switch (overload_->Admit(src_host, p)) {
-      case OverloadController::Admission::kShed:
-        return;
-      case OverloadController::Admission::kDefer:
-        overload_->PushDeferred(src_host, source, tuple);
-        return;
-      case OverloadController::Admission::kProcess:
-        break;
-    }
-  }
-  // Capture accounting stays on the driver (DeliverSource's first lines);
-  // the per-edge delivery loop runs on the partition's host worker.
-  result_.hosts[src_host].source_tuples++;
-  result_.source_tuples++;
-  if (adaptive_active() &&
-      p < static_cast<int>(adaptive_partition_tuples_.size())) {
-    adaptive_partition_tuples_[p]++;
-    adaptive_partition_bytes_[p] += EncodedTupleSize(tuple);
-  }
-  ParallelWorkItem item;
-  item.edges = &it->second[p];
-  item.partition = p;
-  item.host = src_host;
-  item.seq = ++route_seq_;
-  item.batch.push_back(tuple);
-  exec_->Enqueue(src_host, std::move(item));
-}
-
-void ClusterRuntime::WorkerProcessItem(int host, ParallelWorkItem&& item) {
-  const auto& edges = *static_cast<const std::vector<Edge>*>(item.edges);
-  if (parallel_mode_ == ParallelMode::kBarrier) {
-    tls_stage_seq = item.seq;
-    tls_stage_sub = 0;
-    WorkerDeliverSource(item.partition, host, edges, item.batch.front());
-    return;
-  }
-  // Pipeline morsel: local edges take the bucket directly; remote edges
-  // share one serde round trip, pay the sender half here, and hand the
-  // receiver half to the consumer host's ring.
-  const TupleBatch& bucket = item.batch;
-  std::optional<TupleBatch> decoded;
-  size_t enc_bytes = 0;
-  for (const Edge& edge : edges) {
-    int to_host = op_host_[edge.consumer];
-    if (to_host != host) {
-      if (!decoded.has_value()) {
-        auto rt = RoundTripBatch(bucket, &enc_bytes);
-        SP_CHECK(rt.ok()) << rt.status().ToString();
-        decoded = std::move(*rt);
-      }
-      result_.hosts[host].net_tuples_out += bucket.size();
-      result_.hosts[host].net_bytes_out += enc_bytes;
-      ParallelRingMsg msg;
-      msg.consumer = edge.consumer;
-      msg.port = static_cast<uint32_t>(edge.port);
-      msg.from = host;
-      msg.enc_bytes = enc_bytes;
-      msg.is_batch = true;
-      msg.batch = *decoded;
-      exec_->Stage(host, to_host, std::move(msg));
-    } else {
-      instances_[edge.consumer]->PushBatch(edge.port, bucket);
-    }
-  }
-}
-
-void ClusterRuntime::WorkerProcessRing(int host, ParallelRingMsg&& msg) {
-  // Receiver half of a staged transfer (the sender half was accounted when
-  // the message was staged); runs under `host`'s claim.
-  result_.hosts[host].net_tuples_in += msg.batch.size();
-  result_.hosts[host].net_bytes_in += msg.enc_bytes;
-  instances_[msg.consumer]->PushBatch(msg.port, msg.batch);
-}
-
-void ClusterRuntime::WorkerDeliverSource(int p, int src_host,
-                                         const std::vector<Edge>& edges,
-                                         const Tuple& tuple) {
-  // The DeliverSource edge loop minus driver-side capture accounting:
-  // same-host edges deliver inline (the worker holds src_host's claim);
-  // cross-host edges are staged for exact-order driver replay.
-  for (const Edge& edge : edges) {
-    int to_host = op_host_[edge.consumer];
-    if (recovery_active()) {
-      if (to_host == src_host) {
-        SendReliable(-(p + 1), src_host, tuple, tuple, edge.consumer,
-                     edge.port);
-        continue;
-      }
-      StageEdgeTuple(src_host, p, -1, edge, tuple);
-      continue;
-    }
-    if (to_host != src_host) {
-      StageEdgeTuple(src_host, p, -1, edge, tuple);
-      continue;
-    }
-    instances_[edge.consumer]->Push(edge.port, tuple);
-  }
-}
-
-void ClusterRuntime::WorkerEmitRemoteReliable(int child, const Tuple& tuple) {
-  // EmitRemoteReliable's body with the dead-producer branch unreachable
-  // (kills happen at barriers; the driver never routes work to dead hosts):
-  // suppression and same-host (migration-collapsed) sends run here under
-  // the host claim; cross-host sends are staged.
-  uint64_t idx = instances_[child]->stats().tuples_out;
-  if (recovery_->Suppress(child, idx)) return;
-  int from = op_host_[child];
-  auto decoded = RoundTripTuple(tuple);
-  SP_CHECK(decoded.ok()) << decoded.status().ToString();
-  const std::vector<Edge>& edges = remote_edges_.find(child)->second;
-  for (const Edge& e : edges) {
-    if (op_host_[e.consumer] == from) {
-      SendReliable(child, from, tuple, *decoded, e.consumer, e.port);
-    } else {
-      StageEdgeTuple(from, -1, child, e, tuple);
-    }
-  }
-}
-
-void ClusterRuntime::StageEdgeTuple(int from, int partition, int producer_op,
-                                    const Edge& edge, const Tuple& tuple) {
-  ParallelRingMsg msg;
-  msg.consumer = edge.consumer;
-  msg.port = static_cast<uint32_t>(edge.port);
-  msg.from = from;
-  msg.partition = partition;
-  msg.producer_op = producer_op;
-  msg.seq = tls_stage_seq;
-  msg.sub = tls_stage_sub++;
-  msg.batch.push_back(tuple);
-  exec_->Stage(from, -1, std::move(msg));
-}
-
-void ClusterRuntime::StageEdgeBatch(int from, const Edge& edge,
-                                    const TupleBatch& decoded,
-                                    size_t enc_bytes) {
-  ParallelRingMsg msg;
-  msg.consumer = edge.consumer;
-  msg.port = static_cast<uint32_t>(edge.port);
-  msg.from = from;
-  msg.enc_bytes = enc_bytes;
-  msg.is_batch = true;
-  msg.seq = tls_stage_seq;
-  msg.sub = tls_stage_sub++;
-  msg.batch = decoded;
-  exec_->Stage(from, -1, std::move(msg));
-}
-
-void ClusterRuntime::ReplayStagedMsg(ParallelRingMsg&& msg) {
-  if (msg.is_batch) {
-    AccountTransferBatch(msg.from, op_host_[msg.consumer], msg.batch.size(),
-                         msg.enc_bytes);
-    instances_[msg.consumer]->PushBatch(msg.port, msg.batch);
-    return;
-  }
-  // One original (wire) tuple: replay its cross-host delivery through the
-  // exact sequential code path. Cascaded emissions this triggers run
-  // driver-inline (the sinks take their sequential branches), at exactly
-  // the position the single-threaded execution ran them.
-  const Tuple& wire = msg.batch.front();
-  auto decoded = RoundTripTuple(wire);
-  SP_CHECK(decoded.ok()) << decoded.status().ToString();
-  if (recovery_active()) {
-    int key = msg.partition >= 0 ? -(msg.partition + 1) : msg.producer_op;
-    SendReliable(key, msg.from, wire, *decoded, msg.consumer, msg.port);
-  } else if (faults_active()) {
-    DeliverRemoteFaulty(msg.from, wire, *decoded, msg.consumer, msg.port);
-  } else {
-    AccountTransfer(msg.from, op_host_[msg.consumer], wire);
-    instances_[msg.consumer]->Push(msg.port, *decoded);
-  }
-}
-
-void ClusterRuntime::PipelinePushTuple(const std::string& source,
-                                       const Tuple& tuple) {
-  auto it = routing_.find(source);
-  if (it == routing_.end() || partitioner_ == nullptr) return;
-  int p = partitioner_->PartitionOf(tuple);
-  if (p >= static_cast<int>(it->second.size())) return;
-  auto& pending = morsel_pending_[source];
-  if (pending.size() < it->second.size()) pending.resize(it->second.size());
-  TupleBatch& buf = pending[p];
-  buf.push_back(tuple);
-  if (buf.size() >= kMorselTuples) {
-    EnqueueMorsel(source, p, std::move(buf));
-    buf = TupleBatch{};
-  }
-}
-
-void ClusterRuntime::PipelinePushBatch(const std::string& source,
-                                       TupleSpan batch) {
-  auto it = routing_.find(source);
-  if (it == routing_.end() || partitioner_ == nullptr) return;
-  const auto& partitions = it->second;
-  // Flush buffered per-tuple pushes first so a caller mixing PushSource and
-  // PushSourceBatch keeps per-partition delivery order.
-  if (auto pit = morsel_pending_.find(source); pit != morsel_pending_.end()) {
-    for (size_t p = 0; p < pit->second.size(); ++p) {
-      EnqueueMorsel(source, static_cast<int>(p), std::move(pit->second[p]));
-      pit->second[p] = TupleBatch{};
-    }
-  }
-  if (bucket_scratch_.size() < partitions.size()) {
-    bucket_scratch_.resize(partitions.size());
-  }
-  for (auto& bucket : bucket_scratch_) bucket.clear();
-  for (const Tuple& tuple : batch) {
-    int p = partitioner_->PartitionOf(tuple);
-    if (p >= static_cast<int>(partitions.size())) continue;
-    bucket_scratch_[p].push_back(tuple);
-  }
-  for (size_t p = 0; p < partitions.size(); ++p) {
-    if (bucket_scratch_[p].empty()) continue;
-    EnqueueMorsel(source, static_cast<int>(p), std::move(bucket_scratch_[p]));
-    bucket_scratch_[p] = TupleBatch{};
-  }
-}
-
-void ClusterRuntime::FlushPendingMorsels() {
-  for (auto& [source, pending] : morsel_pending_) {
-    for (size_t p = 0; p < pending.size(); ++p) {
-      EnqueueMorsel(source, static_cast<int>(p), std::move(pending[p]));
-      pending[p] = TupleBatch{};
-    }
-  }
-}
-
-void ClusterRuntime::EnqueueMorsel(const std::string& source, int p,
-                                   TupleBatch&& morsel) {
-  if (morsel.empty()) return;
-  auto it = routing_.find(source);
-  int src_host = partition_hosts_.at(source)[p];
-  result_.hosts[src_host].source_tuples += morsel.size();
-  result_.source_tuples += morsel.size();
-  ParallelWorkItem item;
-  item.edges = &it->second[p];
-  item.partition = p;
-  item.host = src_host;
-  item.batch = std::move(morsel);
-  exec_->Enqueue(src_host, std::move(item));
-}
-
-void ClusterRuntime::PipelineStageTuple(int from,
-                                        const std::vector<Edge>& edges,
-                                        const Tuple& tuple) {
-  auto decoded = RoundTripTuple(tuple);
-  SP_CHECK(decoded.ok()) << decoded.status().ToString();
-  size_t bytes = EncodedTupleSize(tuple);
-  for (const Edge& e : edges) {
-    result_.hosts[from].net_tuples_out += 1;
-    result_.hosts[from].net_bytes_out += bytes;
-    ParallelRingMsg msg;
-    msg.consumer = e.consumer;
-    msg.port = static_cast<uint32_t>(e.port);
-    msg.from = from;
-    msg.enc_bytes = bytes;
-    msg.is_batch = true;
-    msg.batch.push_back(*decoded);
-    exec_->Stage(from, op_host_[e.consumer], std::move(msg));
-  }
-}
-
-void ClusterRuntime::PipelineStageBatch(int from,
-                                        const std::vector<Edge>& edges,
-                                        TupleSpan batch) {
-  size_t enc_bytes = 0;
-  auto decoded = RoundTripBatch(batch, &enc_bytes);
-  SP_CHECK(decoded.ok()) << decoded.status().ToString();
-  for (const Edge& e : edges) {
-    result_.hosts[from].net_tuples_out += batch.size();
-    result_.hosts[from].net_bytes_out += enc_bytes;
-    ParallelRingMsg msg;
-    msg.consumer = e.consumer;
-    msg.port = static_cast<uint32_t>(e.port);
-    msg.from = from;
-    msg.enc_bytes = enc_bytes;
-    msg.is_batch = true;
-    msg.batch = *decoded;
-    exec_->Stage(from, op_host_[e.consumer], std::move(msg));
   }
 }
 
@@ -2428,10 +1895,10 @@ RunLedger ClusterRuntime::MakeLedger(const CpuCostParams& params,
     ledger.AddRegistry(static_cast<int>(h), *host_stats_[h]);
   }
   for (const auto& [name, batch] : result_.outputs) {
-    // Result sinks pre-create their output batch at attach time (parallel
-    // workers append through a stable pointer); skipping empty batches
-    // keeps the ledger identical to the lazy-creation shape, where an
-    // entry existed only once a sink actually emitted.
+    // Result sinks pre-create their output batch at attach time (they append
+    // through a stable pointer); skipping empty batches keeps the ledger
+    // identical to the lazy-creation shape, where an entry existed only
+    // once a sink actually emitted.
     if (batch.empty()) continue;
     ledger.AddOutput(name, batch.size());
   }

@@ -16,7 +16,6 @@
 /// on a survivor without rewiring captured pointers. On the healthy path the
 /// lookups resolve to the build-time placement, byte-identically.
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,7 +25,6 @@
 #include "dist/checkpoint.h"
 #include "dist/fault.h"
 #include "dist/overload.h"
-#include "dist/parallel_exec.h"
 #include "dist/partitioner.h"
 #include "exec/column_batch.h"
 #include "exec/ops.h"
@@ -85,39 +83,10 @@ class ClusterRuntime {
   /// form once and delivers it via PushColumns — local consumers borrow the
   /// columns, cross-host edges encode the columns once per bucket
   /// (byte-identical wire accounting to the row path). Must be called before
-  /// Build. Columnar applies to the healthy sequential branch only: armed
-  /// controllers degenerate to per-tuple routing in every mode, and
-  /// set_parallel(>1) falls back to row batches with a recorded reason
-  /// (columnar_fallback_reason()).
+  /// Build. Columnar applies to the healthy branch only: armed controllers
+  /// degenerate to per-tuple routing in every mode.
   void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
   ExecMode exec_mode() const { return exec_mode_; }
-  /// \brief Why a set_exec_mode(kColumnar) run fell back to row batches;
-  /// empty when columnar is active or was never requested.
-  const std::string& columnar_fallback_reason() const {
-    return columnar_fallback_reason_;
-  }
-
-  /// \brief Selects parallel execution with \p threads worker threads. Must be called before Build; threads == 1 keeps the
-  /// single-threaded path (the deterministic differential oracle). The
-  /// RunLedger of a parallel run is byte-identical to the single-threaded
-  /// one (advisory wall-clock instruments live in the separate scheduler
-  /// registry and never enter the ledger). Plans the scheduler cannot run
-  /// in parallel fall back to sequential execution with a recorded reason
-  /// (parallel_fallback_reason()); see docs/THREADING.md.
-  void set_parallel(int threads);
-  int parallel_threads() const { return parallel_threads_; }
-  /// \brief True when Build selected a multithreaded mode (valid after
-  /// Build).
-  bool parallel_active() const { return parallel_mode_ != ParallelMode::kOff; }
-  /// \brief Why a set_parallel(>1) run fell back to sequential execution;
-  /// empty when parallel is active or was never requested.
-  const std::string& parallel_fallback_reason() const {
-    return parallel_fallback_reason_;
-  }
-  /// \brief Scheduler/worker instruments (sched_*/worker_*; all advisory).
-  /// Kept out of the per-host registries so the RunLedger stays
-  /// mode-independent. Populated after FinishSources.
-  const StatsRegistry& scheduler_registry() const { return sched_stats_; }
 
   /// \brief Attaches a fault plan (dist/fault.h). Must be called before
   /// Build. An empty plan leaves every execution path byte-identical to a
@@ -203,14 +172,6 @@ class ClusterRuntime {
     int consumer;
     size_t port;
   };
-
-  /// Execution mode Build selects when set_parallel requested threads > 1:
-  /// kPipeline for healthy plans (continuous morsel flow, host-to-host SPSC
-  /// rings, no barriers), kBarrier when any controller is armed (workers do
-  /// host-local work; cross-host sends are staged and replayed by the
-  /// driver in exact sequential order at every source-time boundary), kOff
-  /// for single-threaded or fallen-back runs.
-  enum class ParallelMode : uint8_t { kOff, kPipeline, kBarrier };
 
   void AccountTransfer(int from_host, int to_host, const Tuple& tuple);
   /// Batched ledger update: \p n tuples totalling \p bytes encoded bytes
@@ -363,71 +324,6 @@ class ClusterRuntime {
   bool MigrateStage(const AdaptiveStage& stage, int target,
                     uint64_t* moved_bytes);
 
-  // --- Parallel execution (dist/parallel_exec.h) ---
-  /// Selects the mode, constructs the executor, and starts the pool (end of
-  /// Build).
-  void StartParallel();
-  /// Stops the pool (quiesce + join) and folds scheduler stats; after this
-  /// every delivery path takes its single-threaded branch.
-  void StopParallel();
-  /// True when the calling thread is a worker of this runtime's pool in the
-  /// given mode (sinks use it to pick the staging branch).
-  bool InPipelineWorker() const {
-    return parallel_mode_ == ParallelMode::kPipeline &&
-           ParallelExecutor::InWorker();
-  }
-  bool InBarrierWorker() const {
-    return parallel_mode_ == ParallelMode::kBarrier &&
-           ParallelExecutor::InWorker();
-  }
-  /// Barrier-mode PushSource: routes on the driver (admission, time
-  /// barriers, accounting) and hands the per-edge delivery to the
-  /// partition's host worker.
-  void ParallelPushSource(const std::string& source, const Tuple& tuple);
-  /// Quiesces the pool and replays staged cross-host sends in exact
-  /// sequential order (called on source-time boundaries and at finish).
-  void ParallelBarrier();
-  /// Pipeline-mode per-tuple PushSource: accumulates per-partition morsels.
-  void PipelinePushTuple(const std::string& source, const Tuple& tuple);
-  /// Pipeline-mode PushSourceBatch: buckets and enqueues per-partition
-  /// morsels.
-  void PipelinePushBatch(const std::string& source, TupleSpan batch);
-  /// Flushes the per-tuple morsel accumulators (finish).
-  void FlushPendingMorsels();
-  /// Accounts and enqueues one non-empty per-partition morsel.
-  void EnqueueMorsel(const std::string& source, int p, TupleBatch&& morsel);
-  /// Pipeline-mode worker halves of the healthy cross-host sinks: serde
-  /// once, sender-half accounting, stage to each consumer host's ring.
-  void PipelineStageTuple(int from, const std::vector<Edge>& edges,
-                          const Tuple& tuple);
-  void PipelineStageBatch(int from, const std::vector<Edge>& edges,
-                          TupleSpan batch);
-  /// Worker body of one work item (mode-dispatched).
-  void WorkerProcessItem(int host, ParallelWorkItem&& item);
-  /// Pipeline-mode consumer half of a staged batch.
-  void WorkerProcessRing(int host, ParallelRingMsg&& msg);
-  /// Barrier-mode worker edge loop of one routed source tuple (the
-  /// DeliverSource body minus driver-side accounting; cross-host edges are
-  /// staged).
-  void WorkerDeliverSource(int p, int src_host, const std::vector<Edge>& edges,
-                           const Tuple& tuple);
-  /// Barrier-mode worker flavor of EmitRemoteReliable: suppression and
-  /// same-host sends run on the worker; cross-host sends are staged.
-  void WorkerEmitRemoteReliable(int child, const Tuple& tuple);
-  /// Stages one cross-host tuple send for driver replay.
-  void StageEdgeTuple(int from, int partition, int producer_op,
-                      const Edge& edge, const Tuple& tuple);
-  /// Stages one cross-host decoded batch transfer for driver replay
-  /// (overload-only barrier mode: batches cross as one transfer, like the
-  /// sequential per-batch sink).
-  void StageEdgeBatch(int from, const Edge& edge, const TupleBatch& decoded,
-                      size_t enc_bytes);
-  /// Driver replay of one staged message through the exact sequential
-  /// delivery code.
-  void ReplayStagedMsg(ParallelRingMsg&& msg);
-  /// Folds executor counters into the scheduler registry (after Stop).
-  void FoldSchedulerStats();
-
   /// Kills \p host now. Lossy path: records window invalidations, folds its
   /// ledger, finishes downstream ports it feeds, and (if the plan allows)
   /// repartitions over the survivors. Recovery path: MigrateHost. Fails with
@@ -473,7 +369,6 @@ class ClusterRuntime {
   std::vector<TupleBatch> bucket_scratch_;
   /// Exec mode PushSourceBatch drives (set_exec_mode; kBatch default).
   ExecMode exec_mode_ = ExecMode::kBatch;
-  std::string columnar_fallback_reason_;
   /// Columnar-mode scratch: per-bucket column batch, its identity selection,
   /// and the re-columnarized decode of a cross-host bucket.
   ColumnBatch col_bucket_scratch_;
@@ -541,7 +436,7 @@ class ClusterRuntime {
     int partition = -1;
   };
   std::vector<AdaptiveEdgeSrc> adaptive_edge_src_;
-  /// Cumulative per-partition intake (driver-side capture sites), measured
+  /// Cumulative per-partition intake (counted at source capture), measured
   /// only while adaptive placement is armed.
   std::vector<uint64_t> adaptive_partition_tuples_;
   std::vector<uint64_t> adaptive_partition_bytes_;
@@ -556,33 +451,9 @@ class ClusterRuntime {
   /// suppression windows.
   bool replaying_ = false;
 
-  // --- Parallel execution (inert unless set_parallel(>1)) ---
-  int parallel_threads_ = 1;
-  ParallelMode parallel_mode_ = ParallelMode::kOff;
-  std::string parallel_fallback_reason_;
-  /// The plan armed per-host cycle budgets (captured before the plan moves
-  /// into the controller): budget guards probe live operator state
-  /// mid-epoch, which has no deterministic parallel equivalent.
-  bool has_budgets_ = false;
+  /// Opt-in trace events (set_trace_events_enabled); registries created for
+  /// elastic newcomers inherit it.
   bool trace_events_enabled_ = false;
-  std::unique_ptr<ParallelExecutor> exec_;
-  /// True between StartParallel and StopParallel: delivery paths dispatch
-  /// to the scheduler.
-  bool workers_running_ = false;
-  /// Barrier mode: global routing sequence (replay order) and the last
-  /// source time a barrier ran for.
-  uint64_t route_seq_ = 0;
-  bool barrier_time_seen_ = false;
-  uint64_t barrier_time_ = 0;
-  uint64_t barriers_run_ = 0;
-  /// Pipeline mode: per-tuple morsel accumulators, per source stream and
-  /// partition.
-  std::map<std::string, std::vector<TupleBatch>> morsel_pending_;
-  /// Scheduler/worker instruments (advisory; outside the ledger).
-  StatsRegistry sched_stats_;
-  /// Wall-clock of the parallel region (advisory).
-  std::chrono::steady_clock::time_point parallel_start_{};
-  double parallel_wall_ms_ = 0;
 };
 
 }  // namespace streampart

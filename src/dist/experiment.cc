@@ -17,17 +17,17 @@ ExperimentRunner::ExperimentRunner(const QueryGraph* graph, std::string source,
 
 Result<ClusterRunResult> ExperimentRunner::RunOne(
     const ExperimentConfig& config, int num_hosts, int partitions_per_host,
-    size_t batch_size, int threads, ExecMode exec_mode) {
+    size_t batch_size, ExecMode exec_mode) {
   SP_ASSIGN_OR_RETURN(
       ExperimentCell cell,
       RunCell(config, num_hosts, partitions_per_host, batch_size, {},
-              threads, exec_mode));
+              exec_mode));
   return std::move(cell.result);
 }
 
 Result<ExperimentCell> ExperimentRunner::RunCell(
     const ExperimentConfig& config, int num_hosts, int partitions_per_host,
-    size_t batch_size, const RunLedgerOptions& ledger_options, int threads,
+    size_t batch_size, const RunLedgerOptions& ledger_options,
     ExecMode exec_mode) {
   ClusterConfig cluster;
   cluster.num_hosts = num_hosts;
@@ -44,7 +44,6 @@ Result<ExperimentCell> ExperimentRunner::RunCell(
       DistPlan plan,
       OptimizeForPartitioning(*graph_, cluster, config.ps, oopts));
   ClusterRuntime runtime(graph_, &plan, cluster);
-  if (threads > 1) runtime.set_parallel(threads);
   runtime.set_exec_mode(exec_mode);
   // Budgets are charged in the same cycle currency the ledger reports.
   runtime.set_cost_params(cpu_params_);

@@ -82,26 +82,22 @@ class ExperimentRunner {
   /// and for output-equivalence checks). The trace is replayed through the
   /// batched source path in \p batch_size chunks; batch_size 0 replays
   /// tuple-at-a-time (the pre-vectorization path — benches compare the two,
-  /// all accounted metrics are identical either way). \p threads > 1 runs
-  /// the cell in parallel mode (ClusterRuntime::set_parallel); the ledger
-  /// and outputs are byte-identical to threads == 1. \p exec_mode selects
+  /// all accounted metrics are identical either way). \p exec_mode selects
   /// the delivery path of the batched route (ClusterRuntime::set_exec_mode);
   /// all three modes are differentially identical in outputs and ledger.
   Result<ClusterRunResult> RunOne(const ExperimentConfig& config,
                                   int num_hosts, int partitions_per_host = 2,
                                   size_t batch_size = kDefaultSourceBatch,
-                                  int threads = 1,
                                   ExecMode exec_mode = ExecMode::kBatch);
 
   /// \brief Like RunOne, but also returns the cell's run ledger. The ledger
   /// is deterministic: RunCell at batch_size N and batch_size 0 produce
   /// byte-identical ToJsonl() output (advisory instruments excluded), and
-  /// likewise across thread counts and exec modes.
+  /// likewise across exec modes.
   Result<ExperimentCell> RunCell(const ExperimentConfig& config, int num_hosts,
                                  int partitions_per_host = 2,
                                  size_t batch_size = kDefaultSourceBatch,
                                  const RunLedgerOptions& ledger_options = {},
-                                 int threads = 1,
                                  ExecMode exec_mode = ExecMode::kBatch);
 
   const TupleBatch& trace() const { return trace_; }

@@ -270,38 +270,6 @@ const StatDef kMemberMovedBytes = {"member_moved_bytes", StatKind::kCounter,
                                    "serialized state bytes migrated back to "
                                    "rejoining hosts"};
 
-const StatDef kSchedThreads = {"sched_threads", StatKind::kCounter, "threads",
-                               true,
-                               "worker threads the parallel scheduler ran "
-                               "with"};
-const StatDef kSchedBarriers = {"sched_barriers", StatKind::kCounter,
-                                "barriers", true,
-                                "epoch barriers the driver ran (quiesce + "
-                                "exact-order replay of staged sends)"};
-const StatDef kSchedMorsels = {"sched_morsels", StatKind::kCounter, "morsels",
-                               true,
-                               "work items dispatched to host workers "
-                               "(summed over hosts)"};
-const StatDef kSchedWallMs = {"sched_wall_ms", StatKind::kGauge, "ms", true,
-                              "wall-clock of the parallel region, Build to "
-                              "pool join"};
-const StatDef kWorkerMorsels = {"worker_morsels", StatKind::kCounter,
-                                "morsels", true,
-                                "work items processed under this host's "
-                                "claim"};
-const StatDef kWorkerTuples = {"worker_tuples", StatKind::kCounter, "tuples",
-                               true,
-                               "source tuples processed under this host's "
-                               "claim"};
-const StatDef kWorkerStagedMsgs = {"worker_staged_msgs", StatKind::kCounter,
-                                   "messages", true,
-                                   "cross-host messages this host staged "
-                                   "into its SPSC rings"};
-const StatDef kWorkerSteals = {"worker_steals", StatKind::kCounter, "drains",
-                               true,
-                               "times a non-preferred thread claimed and "
-                               "drained this host's work"};
-
 const StatDef kSketchUpdates = {"sketch_updates", StatKind::kCounter,
                                 "updates", false,
                                 "count-min point updates applied by the "
@@ -351,8 +319,6 @@ const std::vector<const StatDef*>& EngineStatCatalog() {
       &kAdaptRollbacks,
       &kMemberPartitions, &kMemberHeals, &kMemberRejoins,
       &kMemberRejoinsSuppressed, &kMemberSendsRefused, &kMemberMovedBytes,
-      &kSchedThreads,  &kSchedBarriers, &kSchedMorsels, &kSchedWallMs,
-      &kWorkerMorsels, &kWorkerTuples, &kWorkerStagedMsgs, &kWorkerSteals,
       &kSketchUpdates, &kSketchSummaries, &kSketchSummaryBytes,
       &kSketchEpochFlushes, &kSketchMergedSummaries, &kSketchMergedBytes,
       &kSketchEstimates,

@@ -300,22 +300,6 @@ extern const StatDef kMemberRejoinsSuppressed;
 extern const StatDef kMemberSendsRefused;
 extern const StatDef kMemberMovedBytes;
 
-// Morsel-driven parallel execution (dist/parallel_exec.h). Recorded in the
-// runtime's separate scheduler registry (ClusterRuntime::
-// scheduler_registry()) under scope `scheduler` (sched_*) and `worker#<h>`
-// (worker_*), never in the per-host registries — the RunLedger stays
-// byte-identical across execution modes. All advisory: thread counts,
-// queue traffic, and wall clocks are scheduling artifacts, not workload
-// properties.
-extern const StatDef kSchedThreads;
-extern const StatDef kSchedBarriers;
-extern const StatDef kSchedMorsels;
-extern const StatDef kSchedWallMs;  // gauge
-extern const StatDef kWorkerMorsels;
-extern const StatDef kWorkerTuples;
-extern const StatDef kWorkerStagedMsgs;
-extern const StatDef kWorkerSteals;
-
 // Sketch execution leg (exec/sketch_op.h, docs/SKETCHES.md). Host-side
 // SketchOp instruments (sketch_updates, sketch_summaries,
 // sketch_summary_bytes) live in its operator scope; aggregator-side

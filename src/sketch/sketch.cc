@@ -20,6 +20,29 @@ constexpr uint32_t kEcmMagic = 0x45434d31;  // "ECM1"
 constexpr uint32_t kHhMagic = 0x48485331;   // "HHS1"
 constexpr uint32_t kQsMagic = 0x51535331;   // "QSS1"
 
+/// Serialized size of an empty structure: the floor every encoded element
+/// of that kind occupies.
+constexpr uint64_t kMinCmBytes = 4 + 4 + 4 + 8 + 8;
+constexpr uint64_t kMinEhBytes = 4 + 4 + 8 + 8;
+
+/// True when \p n bytes remain after \p offset. Never forms offset + n,
+/// which wraps for n near 2^64.
+bool HasBytes(std::string_view data, size_t offset, uint64_t n) {
+  return offset <= data.size() && n <= data.size() - offset;
+}
+
+/// Rejects a header-derived element count before anything is allocated for
+/// it: \p count elements of at least \p min_bytes each must fit in the
+/// bytes left after \p offset.
+Status CheckCount(std::string_view data, size_t offset, uint64_t count,
+                  uint64_t min_bytes, const char* what) {
+  if (offset > data.size() || count > (data.size() - offset) / min_bytes) {
+    return Status::InvalidArgument("sketch blob too short for ", count, " ",
+                                   what);
+  }
+  return Status::OK();
+}
+
 Status ExpectMagic(std::string_view data, size_t* offset, uint32_t magic,
                    const char* what) {
   uint32_t got = 0;
@@ -51,7 +74,7 @@ void PutBytes(std::string* out, std::string_view bytes) {
 }
 
 Status GetU32(std::string_view data, size_t* offset, uint32_t* v) {
-  if (*offset + 4 > data.size()) {
+  if (!HasBytes(data, *offset, 4)) {
     return Status::InvalidArgument("truncated sketch blob (u32)");
   }
   uint32_t r = 0;
@@ -65,7 +88,7 @@ Status GetU32(std::string_view data, size_t* offset, uint32_t* v) {
 }
 
 Status GetU64(std::string_view data, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > data.size()) {
+  if (!HasBytes(data, *offset, 8)) {
     return Status::InvalidArgument("truncated sketch blob (u64)");
   }
   uint64_t r = 0;
@@ -82,7 +105,7 @@ Status GetBytes(std::string_view data, size_t* offset, std::string* out) {
   uint64_t n = 0;
   Status st = GetU64(data, offset, &n);
   if (!st.ok()) return st;
-  if (*offset + n > data.size()) {
+  if (!HasBytes(data, *offset, n)) {
     return Status::InvalidArgument("truncated sketch blob (bytes)");
   }
   out->assign(data.data() + *offset, n);
@@ -173,11 +196,16 @@ Result<CmSketch> CmSketch::Deserialize(std::string_view data, size_t* offset) {
   Status st = ExpectMagic(data, offset, kCmMagic, "count-min");
   if (!st.ok()) return st;
   CmParams p;
+  uint64_t total = 0;
   if (!(st = GetU32(data, offset, &p.width)).ok()) return st;
   if (!(st = GetU32(data, offset, &p.depth)).ok()) return st;
   if (!(st = GetU64(data, offset, &p.seed)).ok()) return st;
+  if (!(st = GetU64(data, offset, &total)).ok()) return st;
+  st = CheckCount(data, *offset, uint64_t{p.width} * p.depth, 8,
+                  "count-min cells");
+  if (!st.ok()) return st;
   CmSketch s(p);
-  if (!(st = GetU64(data, offset, &s.total_)).ok()) return st;
+  s.total_ = total;
   for (uint64_t& c : s.cells_) {
     if (!(st = GetU64(data, offset, &c)).ok()) return st;
   }
@@ -307,6 +335,9 @@ Result<EhCell> EhCell::Deserialize(std::string_view data, size_t* offset) {
   if (!(st = GetU64(data, offset, &cell.total_)).ok()) return st;
   uint64_t n = 0;
   if (!(st = GetU64(data, offset, &n)).ok()) return st;
+  if (!(st = CheckCount(data, *offset, n, 16, "histogram buckets")).ok()) {
+    return st;
+  }
   cell.buckets_.resize(n);
   for (Bucket& b : cell.buckets_) {
     if (!(st = GetU64(data, offset, &b.ts)).ok()) return st;
@@ -390,8 +421,14 @@ Result<EcmSketch> EcmSketch::Deserialize(std::string_view data,
   if (!(st = GetU32(data, offset, &p.cm.depth)).ok()) return st;
   if (!(st = GetU64(data, offset, &p.cm.seed)).ok()) return st;
   if (!(st = GetU32(data, offset, &p.eh_k)).ok()) return st;
+  uint64_t total = 0;
+  if (!(st = GetU64(data, offset, &total)).ok()) return st;
+  // The stream histogram plus one histogram per grid cell follow.
+  st = CheckCount(data, *offset, uint64_t{p.cm.width} * p.cm.depth + 1,
+                  kMinEhBytes, "ECM histograms");
+  if (!st.ok()) return st;
   EcmSketch s(p);
-  if (!(st = GetU64(data, offset, &s.total_)).ok()) return st;
+  s.total_ = total;
   auto stream = EhCell::Deserialize(data, offset);
   if (!stream.ok()) return stream.status();
   s.stream_ = std::move(*stream);
@@ -478,6 +515,9 @@ Result<HeavyHitterSketch> HeavyHitterSketch::Deserialize(std::string_view data,
   s.cm_ = std::move(*cm);
   uint64_t n = 0;
   if (!(st = GetU64(data, offset, &n)).ok()) return st;
+  if (!(st = CheckCount(data, *offset, n, 8, "candidate keys")).ok()) {
+    return st;
+  }
   for (uint64_t i = 0; i < n; ++i) {
     std::string key;
     if (!(st = GetBytes(data, offset, &key)).ok()) return st;
@@ -580,6 +620,9 @@ Result<QuantileSketch> QuantileSketch::Deserialize(std::string_view data,
   QuantileSketch s;
   if (!(st = GetU32(data, offset, &s.log_universe_)).ok()) return st;
   if (!(st = GetU64(data, offset, &s.total_)).ok()) return st;
+  st = CheckCount(data, *offset, s.log_universe_, kMinCmBytes,
+                  "quantile levels");
+  if (!st.ok()) return st;
   s.levels_.reserve(s.log_universe_);
   for (uint32_t l = 0; l < s.log_universe_; ++l) {
     auto level = CmSketch::Deserialize(data, offset);

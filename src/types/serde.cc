@@ -149,7 +149,9 @@ Status DecodeValue(std::string_view data, size_t* offset, Value* out) {
     case DataType::kString: {
       uint64_t len;
       SP_RETURN_NOT_OK(GetVarint(data, offset, &len));
-      if (*offset + len > data.size()) {
+      // Compared against what remains: `*offset + len` wraps for lengths
+      // near 2^64 and would pass.
+      if (len > data.size() - *offset) {
         return Status::InvalidArgument("truncated string of length ", len);
       }
       *out = Value::String(std::string(data.substr(*offset, len)));

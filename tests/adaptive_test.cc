@@ -12,8 +12,8 @@
 ///     probe hook forces a worst-candidate move whose watch window rolls it
 ///     back — every decision lands in the ledger's `adaptive` section.
 ///  3. Adaptation never changes answers: outputs stay multiset-identical to
-///     a static-plan oracle across both execution paths and thread counts,
-///     including a compound chaos run (drift + host kill + binding budget).
+///     a static-plan oracle across both execution paths, including a
+///     compound chaos run (drift + host kill + binding budget).
 
 #include <gtest/gtest.h>
 
@@ -62,12 +62,10 @@ struct AdaptiveRun {
   ClusterRunResult result;
   RunLedger ledger;
   AdaptiveSection section;
-  bool parallel_active = false;
 };
 
 struct RunOpts {
   size_t batch_size = 0;
-  int threads = 1;
   ExecMode exec_mode = ExecMode::kBatch;
 };
 
@@ -82,7 +80,6 @@ AdaptiveRun RunCluster(const QueryGraph& graph, const ExperimentConfig& config,
   SP_CHECK(plan.ok()) << plan.status().ToString();
   ClusterRuntime runtime(&graph, &*plan, cluster);
   runtime.set_cost_params(CpuCostParams());
-  if (opts.threads > 1) runtime.set_parallel(opts.threads);
   runtime.set_exec_mode(opts.exec_mode);
   if (config.faults.armed()) runtime.set_fault_plan(config.faults);
   Status st = runtime.Build(config.ps);
@@ -100,8 +97,7 @@ AdaptiveRun RunCluster(const QueryGraph& graph, const ExperimentConfig& config,
   runtime.FinishSources();
   AdaptiveRun run{runtime.result(),
                   runtime.MakeLedger(CpuCostParams(), /*duration_sec=*/4.0),
-                  {},
-                  runtime.parallel_active()};
+                  {}};
   if (const AdaptiveController* ctl = runtime.adaptive_controller()) {
     run.section = ctl->section();
   }
@@ -382,23 +378,19 @@ TEST_F(AdaptiveTest, DriftAnswersIdenticalAcrossExecPathsAndThreads) {
 
   bool any_moved = false;
   for (ExecMode mode : {ExecMode::kBatch, ExecMode::kColumnar}) {
-    for (int threads : {1, 8}) {
-      std::string ctx = std::string("@mode=") +
-                        (mode == ExecMode::kBatch ? "batch" : "columnar") +
-                        " threads=" + std::to_string(threads);
-      AdaptiveRun run = RunCluster(
-          graph_, adaptive, 3, trace,
-          {.batch_size = kDefaultSourceBatch, .threads = threads,
-           .exec_mode = mode});
-      ASSERT_EQ(run.result.outputs.count("flows"), 1u) << ctx;
-      ExpectSameMultiset(expected, run.result.outputs.at("flows"),
-                         "flows " + ctx);
-      any_moved = any_moved || run.section.moves_taken > 0;
-      // The reliable delivery books close across every migration.
-      const RecoverySection& rec = run.ledger.recovery();
-      ASSERT_TRUE(rec.active) << ctx;
-      EXPECT_EQ(rec.reliable_sent, rec.reliable_applied) << ctx;
-    }
+    std::string ctx = std::string("@mode=") +
+                      (mode == ExecMode::kBatch ? "batch" : "columnar");
+    AdaptiveRun run =
+        RunCluster(graph_, adaptive, 3, trace,
+                   {.batch_size = kDefaultSourceBatch, .exec_mode = mode});
+    ASSERT_EQ(run.result.outputs.count("flows"), 1u) << ctx;
+    ExpectSameMultiset(expected, run.result.outputs.at("flows"),
+                       "flows " + ctx);
+    any_moved = any_moved || run.section.moves_taken > 0;
+    // The reliable delivery books close across every migration.
+    const RecoverySection& rec = run.ledger.recovery();
+    ASSERT_TRUE(rec.active) << ctx;
+    EXPECT_EQ(rec.reliable_sent, rec.reliable_applied) << ctx;
   }
   EXPECT_TRUE(any_moved) << "the battery must actually exercise a migration";
 }

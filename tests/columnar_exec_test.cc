@@ -13,8 +13,8 @@
 ///    PushSourceBatch query-for-query, counters included;
 ///  * cluster level — ExperimentRunner::RunCell with exec_mode tuple, batch,
 ///    and columnar produces byte-identical RunLedgers (ToJsonl and
-///    ToSummaryJson) over the §6.1 workloads, the golden fault / recovery /
-///    overload scenarios, and thread counts {1, 2, 8}.
+///    ToSummaryJson) over the §6.1 workloads and the golden fault /
+///    recovery / overload scenarios.
 ///
 /// Columnar instruments (col_*) are advisory precisely so this byte-identity
 /// holds; the battery also pins that exclusion.
@@ -391,15 +391,13 @@ FaultPlan Plan(const std::string& text) {
 struct ClusterRun {
   ClusterRunResult result;
   RunLedger ledger;
-  std::string columnar_fallback;
 };
 
 /// Runs \p trace through a fresh cluster under \p exec_mode, mirroring
 /// ExperimentRunner::RunCell (plan attached when non-trivial).
 ClusterRun RunClusterMode(const QueryGraph& graph,
                           const ExperimentConfig& config, int num_hosts,
-                          const TupleBatch& trace, ExecMode exec_mode,
-                          int threads = 1) {
+                          const TupleBatch& trace, ExecMode exec_mode) {
   ClusterConfig cluster;
   cluster.num_hosts = num_hosts;
   cluster.partitions_per_host = 2;
@@ -407,7 +405,6 @@ ClusterRun RunClusterMode(const QueryGraph& graph,
       OptimizeForPartitioning(graph, cluster, config.ps, config.optimizer);
   SP_CHECK(plan.ok()) << plan.status().ToString();
   ClusterRuntime runtime(&graph, &*plan, cluster);
-  if (threads > 1) runtime.set_parallel(threads);
   runtime.set_exec_mode(exec_mode);
   if (config.faults.armed()) {
     runtime.set_fault_plan(config.faults);
@@ -424,7 +421,6 @@ ClusterRun RunClusterMode(const QueryGraph& graph,
   ClusterRun run;
   run.result = runtime.result();
   run.ledger = runtime.MakeLedger(CpuCostParams(), 4.0);
-  run.columnar_fallback = runtime.columnar_fallback_reason();
   return run;
 }
 
@@ -519,31 +515,6 @@ TEST_F(ColumnarClusterTest, OverloadScenariosLedgerIdenticalAcrossModes) {
   }
 }
 
-TEST_F(ColumnarClusterTest, ColumnarFallsBackUnderParallelExecution) {
-  AddFlows();
-  TupleBatch trace = SmallTrace();
-  ExperimentConfig config =
-      Config("Partitioned", "srcIP, destIP", Mode::kPerHost, true);
-  ClusterRun oracle =
-      RunClusterMode(graph_, config, 3, trace, ExecMode::kBatch, 1);
-  // Sequential columnar: no fallback, identical ledger.
-  ClusterRun seq =
-      RunClusterMode(graph_, config, 3, trace, ExecMode::kColumnar, 1);
-  EXPECT_TRUE(seq.columnar_fallback.empty()) << seq.columnar_fallback;
-  EXPECT_EQ(oracle.ledger.ToJsonl(), seq.ledger.ToJsonl());
-  // Parallel columnar: documented fallback to the row-batch path, recorded
-  // in columnar_fallback_reason, ledger still byte-identical.
-  for (int threads : {2, 8}) {
-    std::string ctx = "threads=" + std::to_string(threads);
-    ClusterRun par =
-        RunClusterMode(graph_, config, 3, trace, ExecMode::kColumnar, threads);
-    EXPECT_FALSE(par.columnar_fallback.empty()) << ctx;
-    EXPECT_EQ(oracle.ledger.ToJsonl(), par.ledger.ToJsonl()) << ctx;
-    EXPECT_EQ(oracle.ledger.ToSummaryJson(), par.ledger.ToSummaryJson())
-        << ctx;
-  }
-}
-
 TEST_F(ColumnarClusterTest, RunCellExecModeMatchesDirectRuns) {
   // The experiment harness plumbs exec_mode through to the runtime: RunCell
   // under all three modes must produce byte-identical ledgers (this is the
@@ -556,11 +527,11 @@ TEST_F(ColumnarClusterTest, RunCellExecModeMatchesDirectRuns) {
   ExperimentRunner runner(&graph_, "TCP", tc, CpuCostParams());
   ExperimentConfig config =
       Config("Partitioned", "srcIP, destIP", Mode::kPerHost, true);
-  auto tuple = runner.RunCell(config, 3, 2, kDefaultSourceBatch, {}, 1,
-                              ExecMode::kTuple);
-  auto batch = runner.RunCell(config, 3, 2, kDefaultSourceBatch, {}, 1,
-                              ExecMode::kBatch);
-  auto columnar = runner.RunCell(config, 3, 2, kDefaultSourceBatch, {}, 1,
+  auto tuple =
+      runner.RunCell(config, 3, 2, kDefaultSourceBatch, {}, ExecMode::kTuple);
+  auto batch =
+      runner.RunCell(config, 3, 2, kDefaultSourceBatch, {}, ExecMode::kBatch);
+  auto columnar = runner.RunCell(config, 3, 2, kDefaultSourceBatch, {},
                                  ExecMode::kColumnar);
   ASSERT_OK(tuple.status());
   ASSERT_OK(batch.status());
@@ -590,7 +561,7 @@ TEST_F(ColumnarClusterTest, ColumnarInstrumentsStayOutOfTheLedger) {
   ExperimentRunner runner(&graph_, "TCP", tc, CpuCostParams());
   RunLedgerOptions advisory;
   advisory.include_advisory = true;
-  auto cell = runner.RunCell(config, 3, 2, kDefaultSourceBatch, advisory, 1,
+  auto cell = runner.RunCell(config, 3, 2, kDefaultSourceBatch, advisory,
                              ExecMode::kColumnar);
   ASSERT_OK(cell.status());
   if (StatsRegistry::kCompiledIn) {

@@ -4,8 +4,8 @@
 ///
 /// The robustness contract is differential: a partition-then-heal run and a
 /// kill-then-rejoin run produce answers multiset-identical to the healthy
-/// run — on the sequential path and the epoch-barrier parallel path — with
-/// zero source-tuple loss when the reliable-edge machinery is armed.
+/// run — on the per-tuple and the batched delivery path — with zero
+/// source-tuple loss when the reliable-edge machinery is armed.
 /// Refusals are conserved (a refused send never entered a channel, so
 /// healthy sends == faulty sends + refusals), elastic rejoin grows the
 /// cluster mid-run, rejoin storms are cooldown-suppressed, and a golden
@@ -49,16 +49,13 @@ TupleBatch SmallTrace(uint32_t duration_sec = 4, uint32_t pps = 1000) {
 struct DirectRun {
   ClusterRunResult result;
   RunLedger ledger;
-  bool parallel_active = false;
-  std::string parallel_fallback_reason;
 };
 
-/// Runs \p trace through a fresh cluster; \p threads > 1 requests the
-/// parallel path (membership plans arm controllers, so it runs in barrier
-/// mode when accepted).
+/// Runs \p trace through a fresh cluster: tuple-at-a-time when
+/// \p batch_size is 0, else through PushSourceBatch in batch_size chunks.
 DirectRun RunCluster(const QueryGraph& graph, const FaultPlan* faults,
                      int num_hosts, const TupleBatch& trace,
-                     int threads = 1) {
+                     size_t batch_size = 0) {
   ClusterConfig cluster;
   cluster.num_hosts = num_hosts;
   cluster.partitions_per_host = 2;
@@ -68,15 +65,21 @@ DirectRun RunCluster(const QueryGraph& graph, const FaultPlan* faults,
   auto plan = OptimizeForPartitioning(graph, cluster, ps, oopts);
   SP_CHECK(plan.ok()) << plan.status().ToString();
   ClusterRuntime runtime(&graph, &*plan, cluster);
-  if (threads > 1) runtime.set_parallel(threads);
   if (faults != nullptr) runtime.set_fault_plan(*faults);
   Status st = runtime.Build(ps);
   SP_CHECK(st.ok()) << st.ToString();
-  for (const Tuple& t : trace) runtime.PushSource("TCP", t);
+  if (batch_size == 0) {
+    for (const Tuple& t : trace) runtime.PushSource("TCP", t);
+  } else {
+    TupleSpan all(trace);
+    for (size_t off = 0; off < all.size(); off += batch_size) {
+      runtime.PushSourceBatch(
+          "TCP", all.subspan(off, std::min(batch_size, all.size() - off)));
+    }
+  }
   runtime.FinishSources();
-  return DirectRun{runtime.result(), runtime.MakeLedger(CpuCostParams(), 4.0),
-                   runtime.parallel_active(),
-                   runtime.parallel_fallback_reason()};
+  return DirectRun{runtime.result(),
+                   runtime.MakeLedger(CpuCostParams(), 4.0)};
 }
 
 class MembershipTest : public ::testing::Test {
@@ -116,13 +119,9 @@ TEST_F(MembershipTest, PartitionThenHealEqualsHealthyOnBothPaths) {
       "ckpt 1\n"
       "partition groups=0,1|2 at=1\n"
       "heal at=3\n");
-  for (int threads : {1, 8}) {
-    std::string ctx = "@threads=" + std::to_string(threads);
-    DirectRun run = RunCluster(graph_, &faults, 3, trace, threads);
-    if (threads > 1) {
-      EXPECT_TRUE(run.parallel_active)
-          << ctx << ": " << run.parallel_fallback_reason;
-    }
+  for (size_t batch_size : {size_t{0}, kDefaultSourceBatch}) {
+    std::string ctx = "@batch_size=" + std::to_string(batch_size);
+    DirectRun run = RunCluster(graph_, &faults, 3, trace, batch_size);
     // Reliable edges kept retransmitting across the heal: answers are
     // multiset-identical to the healthy run and no source tuple is lost.
     ExpectSameOutputs(healthy, run, ctx);
@@ -203,13 +202,9 @@ TEST_F(MembershipTest, KillThenRejoinEqualsHealthyOnBothPaths) {
       "ckpt 1\n"
       "kill host=2 epoch=1\n"
       "rejoin host=2 at=2\n");
-  for (int threads : {1, 8}) {
-    std::string ctx = "@threads=" + std::to_string(threads);
-    DirectRun run = RunCluster(graph_, &faults, 3, trace, threads);
-    if (threads > 1) {
-      EXPECT_TRUE(run.parallel_active)
-          << ctx << ": " << run.parallel_fallback_reason;
-    }
+  for (size_t batch_size : {size_t{0}, kDefaultSourceBatch}) {
+    std::string ctx = "@batch_size=" + std::to_string(batch_size);
+    DirectRun run = RunCluster(graph_, &faults, 3, trace, batch_size);
     ExpectSameOutputs(healthy, run, ctx);
     EXPECT_EQ(run.ledger.faults().source_tuples_lost, 0u) << ctx;
     // The rejoined host is a live member again.
@@ -279,13 +274,6 @@ TEST_F(MembershipTest, ElasticRejoinGrowsTheCluster) {
   EXPECT_TRUE(run.result.CheckedHost(3).ok());
   const MembershipSection& membership = run.ledger.membership();
   EXPECT_EQ(membership.rejoins, 1u);
-  // Worker rings are sized at start, so an elastic plan cannot run parallel.
-  DirectRun parallel = RunCluster(graph_, &faults, 3, trace, 8);
-  EXPECT_FALSE(parallel.parallel_active);
-  EXPECT_NE(parallel.parallel_fallback_reason.find("elastic"),
-            std::string::npos)
-      << parallel.parallel_fallback_reason;
-  ExpectSameOutputs(healthy, parallel, "elastic rejoin sequential fallback");
 }
 
 // ---------------------------------------------------------------------------

@@ -88,6 +88,11 @@ struct PrecedenceCase {
   const char* canonical;  // fully parenthesized ToString
 };
 
+// Names each case by its input. Without it gtest prints the raw struct
+// bytes, i.e. the string-literal addresses, so the registered ctest name
+// changes with every build and every ASLR base.
+void PrintTo(const PrecedenceCase& c, std::ostream* os) { *os << c.input; }
+
 class PrecedenceTest : public ::testing::TestWithParam<PrecedenceCase> {};
 
 TEST_P(PrecedenceTest, ParsesWithDocumentedPrecedence) {

@@ -1,6 +1,7 @@
 /// \file serde_test.cc
 /// \brief Wire-format tests: varints, round trips over every value type,
-/// exact size accounting, malformed-input rejection, and a randomized sweep.
+/// exact size accounting, malformed-input rejection, a randomized sweep, and
+/// a mutation property over batch encodings.
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,69 @@ TEST(SerdeTest, RejectsMalformedInput) {
   // Empty input.
   offset = 0;
   EXPECT_FALSE(DecodeTuple("", &offset, &out).ok());
+  // One string field whose length varint is 2^64 - 12. The input is 12 bytes
+  // long, so `offset + len` wraps to 0: a bounds check written that way
+  // passed, moved the offset back to 0, and DecodeBatch looped forever.
+  offset = 0;
+  std::string wraps;
+  PutVarint(1, &wraps);
+  wraps.push_back(static_cast<char>(DataType::kString));
+  PutVarint(~uint64_t{0} - 11, &wraps);
+  ASSERT_EQ(wraps.size(), 12u);
+  EXPECT_FALSE(DecodeTuple(wraps, &offset, &out).ok());
+}
+
+TEST(SerdeTest, MutatedBatchesAreRejectedOrRoundTrip) {
+  // Every mutant of a valid batch encoding either fails with a Status or
+  // decodes to tuples whose own encode -> decode round trip is
+  // byte-identical: no hang, no exception, no out-of-bounds read.
+  TupleBatch batch;
+  for (uint64_t i = 0; i < 6; ++i) {
+    batch.push_back(testing::MakePacket(60 + i, 0x0a000001 + i, 0x0a000100,
+                                        1024 + i, 80, 40 + 100 * i));
+    if (i == 2) {
+      batch.push_back(Tuple(std::vector<Value>{Value::String("scan"),
+                                               Value::Uint(i)}));
+    }
+  }
+  batch.push_back(Tuple(std::vector<Value>{
+      Value::Null(), Value::Int(-7), Value::Double(2.5), Value::Bool(true),
+      Value::String("suspicious"), Value::Ip(0xc0a80001)}));
+  std::string valid;
+  EncodeBatch(batch, &valid);
+  Rng rng(20080609);
+  int rejected = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string mutant = testing::MutateEncoding(valid, &rng);
+    // Walk the mutant tuple by tuple first. A decoded tuple never encodes to
+    // more bytes than it was decoded from, so a bounds check that wraps and
+    // moves the offset backwards fails here instead of sending DecodeBatch
+    // round in circles.
+    Status walked;
+    size_t offset = 0;
+    while (walked.ok() && offset < mutant.size()) {
+      const size_t before = offset;
+      Tuple t;
+      walked = DecodeTuple(mutant, &offset, &t);
+      if (walked.ok()) {
+        ASSERT_GE(offset, before + EncodedTupleSize(t)) << "mutant " << i;
+      }
+    }
+    auto decoded = DecodeBatch(mutant);
+    ASSERT_EQ(decoded.ok(), walked.ok()) << "mutant " << i;
+    if (!decoded.ok()) {
+      ++rejected;
+      continue;
+    }
+    std::string once;
+    EncodeBatch(*decoded, &once);
+    auto again = DecodeBatch(once);
+    ASSERT_OK(again.status());
+    std::string twice;
+    EncodeBatch(*again, &twice);
+    ASSERT_EQ(once, twice) << "mutant " << i;
+  }
+  EXPECT_GT(rejected, 0) << "the mutator never broke the encoding";
 }
 
 TEST(SerdeTest, RandomizedRoundTrips) {

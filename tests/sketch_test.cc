@@ -237,6 +237,110 @@ TEST(QuantileTest, QuantilesWithinRankErrorAcrossSeeds) {
 }
 
 // ---------------------------------------------------------------------------
+// Decoders: mutated blobs are rejected with a Status, never a throw
+// ---------------------------------------------------------------------------
+
+TEST(SketchCodecTest, GetBytesRejectsLengthThatWrapsTheOffset) {
+  // A length of 2^64 - 4 after an 8-byte prefix: `offset + n` wraps to 4,
+  // which passed a bounds check written that way and let assign() throw.
+  std::string blob;
+  PutU64(&blob, ~uint64_t{0} - 3);
+  blob += "abc";
+  size_t offset = 0;
+  std::string out;
+  EXPECT_FALSE(GetBytes(blob, &offset, &out).ok());
+}
+
+TEST(SketchCodecTest, CmDeserializeRejectsGridLargerThanBlob) {
+  CmSketch cm(CmParams::FromErrorBound(0.5, 0.2, 1));
+  std::string blob;
+  cm.Serialize(&blob);
+  // Width and depth (u32 each) follow the 4-byte magic.
+  for (size_t i = 4; i < 12; ++i) blob[i] = '\xff';
+  size_t offset = 0;
+  EXPECT_FALSE(CmSketch::Deserialize(blob, &offset).ok());
+}
+
+TEST(SketchCodecTest, EhDeserializeRejectsBucketCountLargerThanBlob) {
+  EhCell cell(4);
+  cell.Add(1);
+  cell.Add(2);
+  std::string blob;
+  cell.Serialize(&blob);
+  // The u64 bucket count follows magic (4), k (4) and total (8).
+  for (size_t i = 16; i < 24; ++i) blob[i] = '\xff';
+  size_t offset = 0;
+  EXPECT_FALSE(EhCell::Deserialize(blob, &offset).ok());
+}
+
+TEST(SketchCodecTest, EcmAndQuantileRejectHeaderSizesLargerThanBlob) {
+  EcmSketch ecm(EcmParams::FromErrorBound(0.9, 0.5, 0.5, 1));
+  std::string ecm_blob;
+  ecm.Serialize(&ecm_blob);
+  for (size_t i = 4; i < 12; ++i) ecm_blob[i] = '\xff';  // width, depth
+  size_t offset = 0;
+  EXPECT_FALSE(EcmSketch::Deserialize(ecm_blob, &offset).ok());
+
+  QuantileSketch qs = QuantileSketch::FromErrorBound(0.5, 0.5, 4, 1);
+  std::string qs_blob;
+  qs.Serialize(&qs_blob);
+  for (size_t i = 4; i < 8; ++i) qs_blob[i] = '\xff';  // log_universe
+  offset = 0;
+  EXPECT_FALSE(QuantileSketch::Deserialize(qs_blob, &offset).ok());
+}
+
+/// Every mutant of \p valid's encoding either fails to deserialize with a
+/// Status, or deserializes to a sketch whose own serialize -> deserialize
+/// round trip is identical.
+template <typename Sketch>
+void ExpectMutantsRejectedOrRoundTrip(const Sketch& valid, const char* what,
+                                      Rng* rng) {
+  std::string bytes;
+  valid.Serialize(&bytes);
+  int rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutant = testing::MutateEncoding(bytes, rng);
+    size_t offset = 0;
+    auto decoded = Sketch::Deserialize(mutant, &offset);
+    if (!decoded.ok()) {
+      ++rejected;
+      continue;
+    }
+    std::string once;
+    decoded->Serialize(&once);
+    size_t again_offset = 0;
+    auto again = Sketch::Deserialize(once, &again_offset);
+    ASSERT_TRUE(again.ok()) << what << " mutant " << i << ": "
+                            << again.status().ToString();
+    EXPECT_EQ(again_offset, once.size()) << what << " mutant " << i;
+    EXPECT_TRUE(*again == *decoded) << what << " mutant " << i;
+  }
+  EXPECT_GT(rejected, 0) << what << ": the mutator never broke the encoding";
+}
+
+TEST(SketchCodecTest, MutatedBlobsAreRejectedOrRoundTrip) {
+  const uint64_t seed = kSeeds[0];
+  CmSketch cm(CmParams::FromErrorBound(0.5, 0.2, seed));
+  EhCell eh(3);
+  EcmSketch ecm(EcmParams::FromErrorBound(0.9, 0.5, 0.5, seed));
+  HeavyHitterSketch hh(CmParams::FromErrorBound(0.5, 0.2, seed), 4);
+  QuantileSketch qs = QuantileSketch::FromErrorBound(0.5, 0.5, 6, seed);
+  for (uint64_t t = 0; t < 40; ++t) {
+    cm.Update(HashCombine(seed, t % 9), t + 1);
+    eh.Add(t, 1 + t % 3);
+    ecm.Update(HashCombine(seed, t % 5), t);
+    hh.Update("10.0.0." + std::to_string(t % 6), 1 + t % 4);
+    qs.Update(t);
+  }
+  Rng rng(20080609);
+  ExpectMutantsRejectedOrRoundTrip(cm, "count-min", &rng);
+  ExpectMutantsRejectedOrRoundTrip(eh, "exponential histogram", &rng);
+  ExpectMutantsRejectedOrRoundTrip(ecm, "ECM", &rng);
+  ExpectMutantsRejectedOrRoundTrip(hh, "heavy hitter", &rng);
+  ExpectMutantsRejectedOrRoundTrip(qs, "quantile", &rng);
+}
+
+// ---------------------------------------------------------------------------
 // SketchOp / SketchMergeOp against the exact AggregateOp oracle
 // ---------------------------------------------------------------------------
 

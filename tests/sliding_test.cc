@@ -142,6 +142,12 @@ struct SlidingCase {
   size_t slide;
 };
 
+// Names each case by its shape; the default raw-byte dump would embed the
+// `agg` pointer and change the registered ctest name with every build.
+void PrintTo(const SlidingCase& c, std::ostream* os) {
+  *os << c.agg << " window=" << c.window << " slide=" << c.slide;
+}
+
 class SlidingEquivalence : public ::testing::TestWithParam<SlidingCase> {};
 
 TEST_P(SlidingEquivalence, MatchesBruteForce) {

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "common/rng.h"
 #include "dist/experiment.h"
 #include "dist/fault.h"
 #include "exec/column_batch.h"
 #include "exec/operator.h"
 #include "trace/trace_gen.h"
+#include "types/serde.h"
 #include "types/tuple.h"
 
 namespace streampart {
@@ -190,6 +192,49 @@ inline ExperimentConfig MakeExperimentConfig(
   config.optimizer.enable_compatible_pushdown = pushdown;
   config.optimizer.partial_agg = partial;
   return config;
+}
+
+/// \brief One seeded mutation of a valid encoding, shared by the decoder
+/// property tests: a bit flip, a truncation, or a length/count field
+/// overwritten with 0xFF... or 2^64 - k. Field positions are not known to
+/// the mutator, so it writes at a random offset, both as a little-endian
+/// u32/u64 (the sketch codec) and as a varint (the tuple wire format).
+inline std::string MutateEncoding(const std::string& valid, Rng* rng) {
+  std::string out = valid;
+  if (out.empty()) return out;
+  const uint64_t k = rng->Uniform(1, 64);
+  const uint64_t huge = rng->Chance(0.5) ? ~uint64_t{0} : uint64_t{0} - k;
+  const size_t pos = rng->Uniform(0, out.size() - 1);
+  const uint64_t kind = rng->Uniform(0, 4);
+  switch (kind) {
+    case 0:
+      out[pos] = static_cast<char>(out[pos] ^ (1 << rng->Uniform(0, 7)));
+      break;
+    case 1:
+      out.resize(pos);
+      break;
+    case 2:
+    case 3: {
+      const size_t width = kind == 2 ? 4 : 8;
+      for (size_t i = 0; i < width && pos + i < out.size(); ++i) {
+        out[pos + i] = static_cast<char>(huge >> (8 * i));
+      }
+      break;
+    }
+    default: {
+      // Replace the varint that starts at pos (at most 10 bytes).
+      size_t end = pos;
+      while (end < out.size() && end - pos < 9 &&
+             (static_cast<uint8_t>(out[end]) & 0x80) != 0) {
+        ++end;
+      }
+      std::string varint;
+      PutVarint(huge, &varint);
+      out.replace(pos, std::min(end + 1, out.size()) - pos, varint);
+      break;
+    }
+  }
+  return out;
 }
 
 /// \brief Parses a fault-plan script, aborting on syntax errors.
