@@ -1253,20 +1253,29 @@ void ClusterRuntime::PushSourceBatch(const std::string& source,
   const auto& partitions = it->second;
   const std::vector<int>& hosts = partition_hosts_.at(source);
 
-  // One routing pass buckets the batch by partition; buckets are scratch
-  // storage reused across calls.
+  // One routing pass buckets the batch by partition. Buckets are scratch
+  // slots reused across calls: a routed tuple is copy-assigned into a
+  // retained slot, which keeps the slot's value storage, instead of being
+  // freed by clear() and allocated again by push_back().
   if (bucket_scratch_.size() < partitions.size()) {
     bucket_scratch_.resize(partitions.size());
   }
-  for (auto& bucket : bucket_scratch_) bucket.clear();
+  bucket_fill_.assign(partitions.size(), 0);
   for (const Tuple& tuple : batch) {
     int p = partitioner_->PartitionOf(tuple);
     if (p >= static_cast<int>(partitions.size())) continue;
-    bucket_scratch_[p].push_back(tuple);
+    TupleBatch& slots = bucket_scratch_[p];
+    size_t& fill = bucket_fill_[p];
+    if (fill == slots.size()) {
+      slots.push_back(tuple);
+    } else {
+      slots[fill] = tuple;
+    }
+    ++fill;
   }
 
   for (size_t p = 0; p < partitions.size(); ++p) {
-    const TupleBatch& bucket = bucket_scratch_[p];
+    const TupleSpan bucket(bucket_scratch_[p].data(), bucket_fill_[p]);
     if (bucket.empty()) continue;
     int src_host = hosts[p];
     result_.hosts[src_host].source_tuples += bucket.size();

@@ -365,8 +365,11 @@ class ClusterRuntime {
   std::map<std::string, std::vector<std::vector<Edge>>> routing_;
   /// Host of each source partition, per stream (migration re-homes).
   std::map<std::string, std::vector<int>> partition_hosts_;
-  /// Scratch per-partition buckets reused across PushSourceBatch calls.
+  /// Scratch per-partition buckets reused across PushSourceBatch calls:
+  /// the first bucket_fill_[p] slots of bucket_scratch_[p] are live, and
+  /// slots past the fill keep their storage for the next call.
   std::vector<TupleBatch> bucket_scratch_;
+  std::vector<size_t> bucket_fill_;
   /// Exec mode PushSourceBatch drives (set_exec_mode; kBatch default).
   ExecMode exec_mode_ = ExecMode::kBatch;
   /// Columnar-mode scratch: per-bucket column batch, its identity selection,

@@ -1,6 +1,7 @@
 #include "exec/column_batch.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "optimizer/filter_order.h"
 #include "types/serde.h"
@@ -83,6 +84,144 @@ uint64_t DoubleBits(double d) {
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(double));
   return bits;
+}
+
+// The unsigned ladder: the types CompareValues, EvalArithmetic and
+// EvalBitwise widen with AsUint64, which for these is the raw payload.
+bool OnUnsignedLadder(DataType type) {
+  return type == DataType::kUint || type == DataType::kIp ||
+         type == DataType::kBool;
+}
+
+// A null-free unsigned column: every cell's payload is the value the row
+// interpreter would compute with, and no cell short-circuits to NULL.
+bool DenseUnsigned(const Column& c) {
+  return OnUnsignedLadder(c.type) && !c.has_nulls();
+}
+
+// `lit op x` as `x op' lit`.
+BinaryOp MirrorComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;  // kEq, kNe are symmetric
+  }
+}
+
+// Keeps the selected rows whose payload satisfies cmp(payload, lit). The
+// store is unconditional and the cursor advances without a branch, so the
+// loop costs the same at any selectivity. Writing slot `kept` never
+// overtakes the read position, so the compaction is in place.
+template <typename Cmp>
+void CompactWhere(const uint64_t* data, uint64_t lit, Cmp cmp,
+                  SelectionVector* sel) {
+  uint32_t* out = sel->data();
+  size_t kept = 0;
+  for (uint32_t row : *sel) {
+    out[kept] = row;
+    kept += cmp(data[row], lit) ? 1 : 0;
+  }
+  sel->resize(kept);
+}
+
+void CompactCompare(BinaryOp op, const uint64_t* data, uint64_t lit,
+                    SelectionVector* sel) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return CompactWhere(data, lit, std::equal_to<uint64_t>(), sel);
+    case BinaryOp::kNe:
+      return CompactWhere(data, lit, std::not_equal_to<uint64_t>(), sel);
+    case BinaryOp::kLt:
+      return CompactWhere(data, lit, std::less<uint64_t>(), sel);
+    case BinaryOp::kLe:
+      return CompactWhere(data, lit, std::less_equal<uint64_t>(), sel);
+    case BinaryOp::kGt:
+      return CompactWhere(data, lit, std::greater<uint64_t>(), sel);
+    case BinaryOp::kGe:
+      return CompactWhere(data, lit, std::greater_equal<uint64_t>(), sel);
+    default:
+      SP_CHECK(false);
+  }
+}
+
+// One operand of a dense unsigned kernel: a column's payloads, or (data ==
+// nullptr) a literal broadcast as a scalar instead of a filled column.
+struct DenseOperand {
+  const uint64_t* data = nullptr;
+  uint64_t scalar = 0;
+};
+
+// out[row] = f(a, b) over the selected rows, one loop per operand shape.
+// \pre at most one operand is a scalar.
+template <typename F>
+void MapDense(const SelectionVector& sel, DenseOperand a, DenseOperand b,
+              uint64_t* out, F f) {
+  if (b.data == nullptr) {
+    const uint64_t y = b.scalar;
+    for (uint32_t row : sel) out[row] = f(a.data[row], y);
+  } else if (a.data == nullptr) {
+    const uint64_t x = a.scalar;
+    for (uint32_t row : sel) out[row] = f(x, b.data[row]);
+  } else {
+    for (uint32_t row : sel) out[row] = f(a.data[row], b.data[row]);
+  }
+}
+
+// The null-free unsigned bitwise/arithmetic kernels: EvalBitwise and the
+// unsigned rung of EvalArithmetic with the type, null and opcode switches
+// out of the row loop. Returns false, computing nothing, when the op could
+// yield NULL here (division by a column or by a zero literal); the generic
+// loop handles those.
+bool MapDenseUnsigned(BinaryOp op, const SelectionVector& sel, DenseOperand a,
+                      DenseOperand b, uint64_t* out) {
+  switch (op) {
+    case BinaryOp::kBitAnd:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x & y; });
+      return true;
+    case BinaryOp::kBitOr:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x | y; });
+      return true;
+    case BinaryOp::kBitXor:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x ^ y; });
+      return true;
+    case BinaryOp::kShiftLeft:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) {
+        return y >= 64 ? uint64_t{0} : x << y;
+      });
+      return true;
+    case BinaryOp::kShiftRight:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) {
+        return y >= 64 ? uint64_t{0} : x >> y;
+      });
+      return true;
+    case BinaryOp::kAdd:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x + y; });
+      return true;
+    case BinaryOp::kSub:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x - y; });
+      return true;
+    case BinaryOp::kMul:
+      MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x * y; });
+      return true;
+    case BinaryOp::kDiv:
+    case BinaryOp::kMod:
+      if (b.data != nullptr || b.scalar == 0) return false;
+      if (op == BinaryOp::kDiv) {
+        MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x / y; });
+      } else {
+        MapDense(sel, a, b, out, [](uint64_t x, uint64_t y) { return x % y; });
+      }
+      return true;
+    default:
+      return false;
+  }
 }
 
 }  // namespace
@@ -215,6 +354,30 @@ ColumnEvaluator::ColumnEvaluator(ExprPtr expr) : expr_(std::move(expr)) {
   SP_CHECK(expr_ != nullptr);
   Flatten(expr_);
   results_.resize(nodes_.size(), nullptr);
+
+  // Filter's fused shape: the root compares one operand against a non-null
+  // literal on the unsigned ladder (kNull is not on it).
+  const Node& root = nodes_.back();
+  if (root.code != OpCode::kBinary || !IsComparison(root.bin_op)) return;
+  auto unsigned_literal = [this](int idx) {
+    const Node& n = nodes_[static_cast<size_t>(idx)];
+    return n.code == OpCode::kLiteral && OnUnsignedLadder(n.literal.type());
+  };
+  auto literal = [this](int idx) {
+    return nodes_[static_cast<size_t>(idx)].code == OpCode::kLiteral;
+  };
+  auto payload = [this](int idx) {
+    return nodes_[static_cast<size_t>(idx)].literal.uint_value();
+  };
+  if (unsigned_literal(root.right) && !literal(root.left)) {
+    fused_operand_ = root.left;
+    fused_op_ = root.bin_op;
+    fused_literal_ = payload(root.right);
+  } else if (unsigned_literal(root.left) && !literal(root.right)) {
+    fused_operand_ = root.right;
+    fused_op_ = MirrorComparison(root.bin_op);
+    fused_literal_ = payload(root.left);
+  }
 }
 
 int ColumnEvaluator::Flatten(const ExprPtr& expr) {
@@ -247,18 +410,58 @@ int ColumnEvaluator::Flatten(const ExprPtr& expr) {
   return static_cast<int>(nodes_.size()) - 1;
 }
 
+void ColumnEvaluator::EvalPrefix(size_t end, const ColumnBatch& batch,
+                                 const SelectionVector& sel) {
+  // nodes_ is in post-order, so children are always evaluated before their
+  // parent; one linear pass computes the program. Literals are left unset
+  // here and filled only if a generic kernel reads them (Operand).
+  for (size_t i = 0; i < end; ++i) {
+    results_[i] = nodes_[i].code == OpCode::kLiteral
+                      ? nullptr
+                      : EvalNode(i, batch, sel);
+  }
+}
+
+const Column& ColumnEvaluator::Operand(int idx, const ColumnBatch& batch,
+                                       const SelectionVector& sel) {
+  const size_t i = static_cast<size_t>(idx);
+  if (results_[i] != nullptr) return *results_[i];
+  const Value& lit = nodes_[i].literal;
+  Column& out = nodes_[i].scratch;
+  out.nulls.clear();
+  out.data.resize(batch.rows());
+  out.type = lit.type();
+  // A NULL literal's kNull type alone marks every cell null.
+  if (!lit.is_null()) {
+    const uint64_t payload = PackCellPayload(lit);
+    for (uint32_t row : sel) out.data[row] = payload;
+  }
+  results_[i] = &out;
+  return out;
+}
+
 const Column* ColumnEvaluator::Evaluate(const ColumnBatch& batch,
                                         const SelectionVector& sel) {
-  // nodes_ is in post-order, so children are always evaluated before their
-  // parent; one linear pass computes the whole program.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    results_[i] = EvalNode(i, batch, sel);
-  }
-  return results_.back();
+  EvalPrefix(nodes_.size(), batch, sel);
+  return &Operand(static_cast<int>(nodes_.size()) - 1, batch, sel);
 }
 
 void ColumnEvaluator::Filter(const ColumnBatch& batch, SelectionVector* sel) {
-  const Column* v = Evaluate(batch, *sel);
+  const Column* v = nullptr;
+  if (fused_operand_ >= 0) {
+    // Fused compare-and-compact: evaluate below the root, then shrink the
+    // selection straight from the operand's payloads, no bool column.
+    EvalPrefix(nodes_.size() - 1, batch, *sel);
+    const Column& x = *results_[static_cast<size_t>(fused_operand_)];
+    if (DenseUnsigned(x)) {
+      CompactCompare(fused_op_, x.data.data(), fused_literal_, sel);
+      return;
+    }
+    results_.back() = EvalNode(nodes_.size() - 1, batch, *sel);
+    v = results_.back();
+  } else {
+    v = Evaluate(batch, *sel);
+  }
   size_t kept = 0;
   for (uint32_t row : *sel) {
     if (CellTruthy(*v, row)) (*sel)[kept++] = row;
@@ -272,25 +475,14 @@ const Column* ColumnEvaluator::EvalNode(size_t idx, const ColumnBatch& batch,
   if (n.code == OpCode::kColumn) {
     return &batch.col(n.column);
   }
+  SP_DCHECK(n.code != OpCode::kLiteral);  // Operand() fills literals
 
   Column& out = n.scratch;
   out.nulls.clear();
   out.data.resize(batch.rows());
 
-  if (n.code == OpCode::kLiteral) {
-    const Value& lit = n.literal;
-    out.type = lit.type();
-    if (lit.is_null()) {
-      // All-null constant: kNull type alone marks every cell null.
-      return &out;
-    }
-    const uint64_t payload = PackCellPayload(lit);
-    for (uint32_t row : sel) out.data[row] = payload;
-    return &out;
-  }
-
   if (n.code == OpCode::kUnary) {
-    const Column& c = *results_[n.left];
+    const Column& c = Operand(n.left, batch, sel);
     switch (n.un_op) {
       case UnaryOp::kNot:
         out.type = DataType::kBool;
@@ -338,9 +530,30 @@ const Column* ColumnEvaluator::EvalNode(size_t idx, const ColumnBatch& batch,
   }
 
   // Binary node.
-  const Column& l = *results_[n.left];
-  const Column& r = *results_[n.right];
   const BinaryOp op = n.bin_op;
+  if (!IsLogical(op) && !IsComparison(op)) {
+    // Null-free unsigned bitwise/arithmetic: a tight per-op loop, with a
+    // literal operand read as a scalar.
+    auto dense = [this](int child, DenseOperand* d) {
+      const Node& c = nodes_[static_cast<size_t>(child)];
+      if (c.code == OpCode::kLiteral) {
+        d->scalar = c.literal.uint_value();
+        return OnUnsignedLadder(c.literal.type());
+      }
+      const Column& col = *results_[static_cast<size_t>(child)];
+      d->data = col.data.data();
+      return DenseUnsigned(col);
+    };
+    DenseOperand a, b;
+    if (dense(n.left, &a) && dense(n.right, &b) &&
+        (a.data != nullptr || b.data != nullptr) &&
+        MapDenseUnsigned(op, sel, a, b, out.data.data())) {
+      out.type = DataType::kUint;
+      return &out;
+    }
+  }
+  const Column& l = Operand(n.left, batch, sel);
+  const Column& r = Operand(n.right, batch, sel);
 
   if (IsLogical(op)) {
     // Expr::Eval collapses NULL to false via Truthy(), so logical results

@@ -229,12 +229,25 @@ class ColumnEvaluator {
   };
 
   int Flatten(const ExprPtr& expr);
+  /// Evaluates nodes [0, end) into results_, leaving literals unset.
+  void EvalPrefix(size_t end, const ColumnBatch& batch,
+                  const SelectionVector& sel);
+  /// results_[idx], filling a literal's scratch column on first use.
+  const Column& Operand(int idx, const ColumnBatch& batch,
+                        const SelectionVector& sel);
   const Column* EvalNode(size_t idx, const ColumnBatch& batch,
                          const SelectionVector& sel);
 
   ExprPtr expr_;
   std::vector<Node> nodes_;  // post-order; the last node is the root
   std::vector<const Column*> results_;  // per-node result, one Evaluate pass
+  /// Filter's fused compare-and-compact: when the root compares node
+  /// fused_operand_ against a non-null unsigned literal, Filter keeps the
+  /// rows where `operand fused_op_ fused_literal_` straight from the
+  /// operand's payloads whenever that column is null-free and unsigned.
+  int fused_operand_ = -1;
+  BinaryOp fused_op_ = BinaryOp::kEq;
+  uint64_t fused_literal_ = 0;
 };
 
 /// \brief Splits a bound WHERE into cost-ordered columnar clause kernels

@@ -697,9 +697,10 @@ Status AggregateOp::RestoreState(std::string_view data) {
   for (uint64_t g = 0; g < generic; ++g) {
     uint64_t arity = 0;
     SP_RETURN_NOT_OK(GetVarint(data, &offset, &arity));
-    if (arity > data.size()) {
-      return Status::InvalidArgument(label(), ": implausible key arity ",
-                                     arity);
+    // A flush reads every group slot of the key.
+    if (arity != node_->group_by.size()) {
+      return Status::InvalidArgument(label(), ": group key arity ", arity,
+                                     ", expected ", node_->group_by.size());
     }
     std::vector<Value> key(arity);
     for (Value& v : key) SP_RETURN_NOT_OK(DecodeValue(data, &offset, &v));
@@ -945,9 +946,9 @@ Status JoinOp::RestoreState(std::string_view data) {
     if (data[offset++] != 0) {
       uint64_t arity = 0;
       SP_RETURN_NOT_OK(GetVarint(data, &offset, &arity));
-      if (arity > data.size()) {
-        return Status::InvalidArgument(label(),
-                                       ": implausible watermark arity ", arity);
+      if (arity != window_left_.size()) {
+        return Status::InvalidArgument(label(), ": watermark arity ", arity,
+                                       ", expected ", window_left_.size());
       }
       std::vector<Value> key(arity);
       for (Value& v : key) SP_RETURN_NOT_OK(DecodeValue(data, &offset, &v));
@@ -963,14 +964,17 @@ Status JoinOp::RestoreState(std::string_view data) {
   for (uint64_t i = 0; i < num_windows; ++i) {
     uint64_t arity = 0;
     SP_RETURN_NOT_OK(GetVarint(data, &offset, &arity));
-    if (arity > data.size()) {
-      return Status::InvalidArgument(label(), ": implausible key arity ",
-                                     arity);
+    if (arity != window_left_.size()) {
+      return Status::InvalidArgument(label(), ": window key arity ", arity,
+                                     ", expected ", window_left_.size());
     }
     std::vector<Value> key(arity);
     for (Value& v : key) SP_RETURN_NOT_OK(DecodeValue(data, &offset, &v));
     Window w;
     for (std::vector<BufferedTuple>* side : {&w.left, &w.right}) {
+      // Buffered tuples are evaluated against their input's schema, so a
+      // narrower one would read past its end when the window joins.
+      const size_t width = side == &w.left ? left_width_ : right_width_;
       uint64_t count = 0;
       SP_RETURN_NOT_OK(GetVarint(data, &offset, &count));
       if (count > data.size()) {
@@ -981,6 +985,11 @@ Status JoinOp::RestoreState(std::string_view data) {
       for (uint64_t t = 0; t < count; ++t) {
         BufferedTuple bt;
         SP_RETURN_NOT_OK(DecodeTuple(data, &offset, &bt.tuple));
+        if (bt.tuple.size() != width) {
+          return Status::InvalidArgument(label(), ": buffered tuple arity ",
+                                         bt.tuple.size(), ", expected ",
+                                         width);
+        }
         if (offset >= data.size()) {
           return Status::InvalidArgument(label(), ": truncated matched flag");
         }
@@ -1110,6 +1119,12 @@ Status MergeOp::RestoreState(std::string_view data) {
     for (uint64_t t = 0; t < count; ++t) {
       Tuple tuple;
       SP_RETURN_NOT_OK(DecodeTuple(data, &offset, &tuple));
+      // Drain reads the temporal slot of every queued tuple.
+      if (tuple.size() != schema_->num_fields()) {
+        return Status::InvalidArgument(label(), ": queued tuple arity ",
+                                       tuple.size(), ", expected ",
+                                       schema_->num_fields());
+      }
       queues_[p].push_back(std::move(tuple));
     }
   }

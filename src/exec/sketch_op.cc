@@ -90,6 +90,88 @@ Status MergeSummary(std::string_view blob,
   return Status::OK();
 }
 
+/// \brief The checkpoint layout SketchOp and SketchMergeOp share: u8
+/// has-epoch [value], the open epoch's serialized grids, u64 candidate
+/// count then each encoded key. Candidates iterate sorted, so the bytes are
+/// a pure function of the logical state.
+void CheckpointSketchState(const std::optional<Value>& epoch,
+                           const std::vector<sketch::CmSketch>& sketches,
+                           const std::map<std::string, uint64_t>& candidates,
+                           std::string* out) {
+  out->push_back(epoch.has_value() ? 1 : 0);
+  if (epoch.has_value()) EncodeValue(*epoch, out);
+  for (const sketch::CmSketch& s : sketches) s.Serialize(out);
+  sketch::PutU64(out, candidates.size());
+  for (const auto& [key, hash] : candidates) sketch::PutBytes(out, key);
+}
+
+/// \brief True when \p key is exactly \p values encoded Values: the
+/// non-temporal group values a flush decodes back out of a candidate key.
+bool CandidateKeyDecodes(std::string_view key, size_t values) {
+  size_t offset = 0;
+  Value v;
+  for (size_t i = 0; i < values; ++i) {
+    if (!DecodeValue(key, &offset, &v).ok()) return false;
+  }
+  return offset == key.size();
+}
+
+/// \brief Inverse of CheckpointSketchState into a freshly reset op. Rejects
+/// what a later flush could not use: a grid other than \p grid, a candidate
+/// key that does not decode to \p key_values values, and candidates with no
+/// open epoch to flush into.
+Status RestoreSketchState(std::string_view data, const std::string& label,
+                          const sketch::CmParams& grid, size_t key_values,
+                          std::optional<Value>* epoch,
+                          std::vector<sketch::CmSketch>* sketches,
+                          std::map<std::string, uint64_t>* candidates) {
+  candidates->clear();
+  epoch->reset();
+
+  size_t offset = 0;
+  if (data.empty()) {
+    return Status::InvalidArgument(label, ": empty checkpoint blob");
+  }
+  if (data[offset++] != 0) {
+    Value restored;
+    SP_RETURN_NOT_OK(DecodeValue(data, &offset, &restored));
+    *epoch = std::move(restored);
+  }
+  for (sketch::CmSketch& s : *sketches) {
+    auto restored = sketch::CmSketch::Deserialize(data, &offset);
+    SP_RETURN_NOT_OK(restored.status());
+    if (!(restored->params() == grid)) {
+      return Status::InvalidArgument(label,
+                                     ": checkpoint grid differs from spec");
+    }
+    s = std::move(*restored);
+  }
+  uint64_t num_keys = 0;
+  SP_RETURN_NOT_OK(sketch::GetU64(data, &offset, &num_keys));
+  if (num_keys > data.size()) {
+    return Status::InvalidArgument(label, ": implausible candidate count ",
+                                   num_keys);
+  }
+  if (num_keys > 0 && !epoch->has_value()) {
+    return Status::InvalidArgument(label, ": candidates without an epoch");
+  }
+  for (uint64_t i = 0; i < num_keys; ++i) {
+    std::string key;
+    SP_RETURN_NOT_OK(sketch::GetBytes(data, &offset, &key));
+    if (!CandidateKeyDecodes(key, key_values)) {
+      return Status::InvalidArgument(label, ": candidate key ", i,
+                                     " is not ", key_values,
+                                     " encoded group values");
+    }
+    uint64_t hash = HashBytes(key);
+    candidates->emplace(std::move(key), hash);
+  }
+  if (offset != data.size()) {
+    return Status::InvalidArgument(label, ": trailing checkpoint bytes");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 SchemaPtr SketchSummarySchema(const QueryNode& node) {
@@ -220,54 +302,13 @@ void SketchOp::DoBindTelemetry(StatsScope* scope) {
 }
 
 void SketchOp::CheckpointState(std::string* out) const {
-  // Layout: u8 has-epoch [value], the open epoch's serialized grids, u64
-  // candidate count then each encoded key. Candidates iterate sorted, so the
-  // bytes are a pure function of the logical state.
-  out->push_back(current_epoch_.has_value() ? 1 : 0);
-  if (current_epoch_.has_value()) EncodeValue(*current_epoch_, out);
-  for (const sketch::CmSketch& s : sketches_) s.Serialize(out);
-  sketch::PutU64(out, candidates_.size());
-  for (const auto& [key, hash] : candidates_) sketch::PutBytes(out, key);
+  CheckpointSketchState(current_epoch_, sketches_, candidates_, out);
 }
 
 Status SketchOp::RestoreState(std::string_view data) {
-  candidates_.clear();
-  current_epoch_.reset();
-
-  size_t offset = 0;
-  if (data.empty()) {
-    return Status::InvalidArgument(label(), ": empty checkpoint blob");
-  }
-  if (data[offset++] != 0) {
-    Value epoch;
-    SP_RETURN_NOT_OK(DecodeValue(data, &offset, &epoch));
-    current_epoch_ = std::move(epoch);
-  }
-  for (sketch::CmSketch& s : sketches_) {
-    auto restored = sketch::CmSketch::Deserialize(data, &offset);
-    SP_RETURN_NOT_OK(restored.status());
-    if (!(restored->params() == spec_.Grid())) {
-      return Status::InvalidArgument(label(),
-                                     ": checkpoint grid differs from spec");
-    }
-    s = std::move(*restored);
-  }
-  uint64_t num_keys = 0;
-  SP_RETURN_NOT_OK(sketch::GetU64(data, &offset, &num_keys));
-  if (num_keys > data.size()) {
-    return Status::InvalidArgument(label(), ": implausible candidate count ",
-                                   num_keys);
-  }
-  for (uint64_t i = 0; i < num_keys; ++i) {
-    std::string key;
-    SP_RETURN_NOT_OK(sketch::GetBytes(data, &offset, &key));
-    uint64_t hash = HashBytes(key);
-    candidates_.emplace(std::move(key), hash);
-  }
-  if (offset != data.size()) {
-    return Status::InvalidArgument(label(), ": trailing checkpoint bytes");
-  }
-  return Status::OK();
+  return RestoreSketchState(data, label(), spec_.Grid(),
+                            node_->group_by.size() - 1, &current_epoch_,
+                            &sketches_, &candidates_);
 }
 
 // ---------------------------------------------------------------------------
@@ -384,51 +425,13 @@ void SketchMergeOp::DoBindTelemetry(StatsScope* scope) {
 }
 
 void SketchMergeOp::CheckpointState(std::string* out) const {
-  out->push_back(current_epoch_.has_value() ? 1 : 0);
-  if (current_epoch_.has_value()) EncodeValue(*current_epoch_, out);
-  for (const sketch::CmSketch& s : sketches_) s.Serialize(out);
-  sketch::PutU64(out, candidates_.size());
-  for (const auto& [key, hash] : candidates_) sketch::PutBytes(out, key);
+  CheckpointSketchState(current_epoch_, sketches_, candidates_, out);
 }
 
 Status SketchMergeOp::RestoreState(std::string_view data) {
-  candidates_.clear();
-  current_epoch_.reset();
-
-  size_t offset = 0;
-  if (data.empty()) {
-    return Status::InvalidArgument(label(), ": empty checkpoint blob");
-  }
-  if (data[offset++] != 0) {
-    Value epoch;
-    SP_RETURN_NOT_OK(DecodeValue(data, &offset, &epoch));
-    current_epoch_ = std::move(epoch);
-  }
-  for (sketch::CmSketch& s : sketches_) {
-    auto restored = sketch::CmSketch::Deserialize(data, &offset);
-    SP_RETURN_NOT_OK(restored.status());
-    if (!(restored->params() == spec_.Grid())) {
-      return Status::InvalidArgument(label(),
-                                     ": checkpoint grid differs from spec");
-    }
-    s = std::move(*restored);
-  }
-  uint64_t num_keys = 0;
-  SP_RETURN_NOT_OK(sketch::GetU64(data, &offset, &num_keys));
-  if (num_keys > data.size()) {
-    return Status::InvalidArgument(label(), ": implausible candidate count ",
-                                   num_keys);
-  }
-  for (uint64_t i = 0; i < num_keys; ++i) {
-    std::string key;
-    SP_RETURN_NOT_OK(sketch::GetBytes(data, &offset, &key));
-    uint64_t hash = HashBytes(key);
-    candidates_.emplace(std::move(key), hash);
-  }
-  if (offset != data.size()) {
-    return Status::InvalidArgument(label(), ": trailing checkpoint bytes");
-  }
-  return Status::OK();
+  return RestoreSketchState(data, label(), spec_.Grid(),
+                            node_->group_by.size() - 1, &current_epoch_,
+                            &sketches_, &candidates_);
 }
 
 }  // namespace streampart

@@ -447,12 +447,14 @@ Status SlidingAggregateOp::RestoreState(std::string_view data) {
     return Status::InvalidArgument(label(), ": implausible group count ",
                                    open_groups);
   }
+  // Group keys omit the pane slot; a window flush reads every other slot.
+  const size_t key_arity = node_->group_by.size() - 1;
   for (uint64_t g = 0; g < open_groups; ++g) {
     uint64_t arity = 0;
     SP_RETURN_NOT_OK(GetVarint(data, &offset, &arity));
-    if (arity > data.size()) {
-      return Status::InvalidArgument(label(), ": implausible key arity ",
-                                     arity);
+    if (arity != key_arity) {
+      return Status::InvalidArgument(label(), ": group key arity ", arity,
+                                     ", expected ", key_arity);
     }
     std::vector<Value> key(arity);
     for (Value& v : key) SP_RETURN_NOT_OK(DecodeValue(data, &offset, &v));
@@ -488,17 +490,18 @@ Status SlidingAggregateOp::RestoreState(std::string_view data) {
     for (uint64_t g = 0; g < groups; ++g) {
       uint64_t arity = 0;
       SP_RETURN_NOT_OK(GetVarint(data, &offset, &arity));
-      if (arity > data.size()) {
-        return Status::InvalidArgument(label(), ": implausible key arity ",
-                                       arity);
+      if (arity != key_arity) {
+        return Status::InvalidArgument(label(), ": group key arity ", arity,
+                                       ", expected ", key_arity);
       }
       std::vector<Value> key(arity);
       for (Value& v : key) SP_RETURN_NOT_OK(DecodeValue(data, &offset, &v));
       uint64_t comps = 0;
       SP_RETURN_NOT_OK(GetVarint(data, &offset, &comps));
-      if (comps > data.size()) {
-        return Status::InvalidArgument(label(), ": implausible component count ",
-                                       comps);
+      // One value per super-aggregate state a window flush feeds.
+      if (comps != total_components_) {
+        return Status::InvalidArgument(label(), ": component count ", comps,
+                                       ", expected ", total_components_);
       }
       std::vector<Value> components(comps);
       for (Value& v : components) {

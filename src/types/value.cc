@@ -7,6 +7,31 @@
 
 namespace streampart {
 
+void Value::AssignSlow(const Value& other) {
+  if (this == &other) return;
+  if (type_ == DataType::kString && other.type_ == DataType::kString) {
+    *str_ = *other.str_;  // reuses this value's buffer
+    return;
+  }
+  // Build the new payload before releasing the old one, so a throwing
+  // string copy leaves this value untouched.
+  std::string* copy = other.type_ == DataType::kString
+                          ? new std::string(*other.str_)
+                          : nullptr;
+  if (type_ == DataType::kString) delete str_;
+  type_ = other.type_;
+  if (copy != nullptr) {
+    str_ = copy;
+  } else {
+    u64_ = other.u64_;
+  }
+}
+
+const std::string& Value::EmptyString() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 bool Value::Truthy() const {
   switch (type_) {
     case DataType::kNull:
@@ -20,7 +45,7 @@ bool Value::Truthy() const {
     case DataType::kDouble:
       return f64_ != 0.0;
     case DataType::kString:
-      return !str_.empty();
+      return !str_->empty();
   }
   return false;
 }
@@ -31,7 +56,7 @@ bool Value::operator==(const Value& other) const {
     case DataType::kNull:
       return true;
     case DataType::kString:
-      return str_ == other.str_;
+      return *str_ == *other.str_;
     case DataType::kDouble:
       return f64_ == other.f64_;
     default:
@@ -45,7 +70,7 @@ bool Value::operator<(const Value& other) const {
     case DataType::kNull:
       return false;
     case DataType::kString:
-      return str_ < other.str_;
+      return *str_ < *other.str_;
     case DataType::kDouble:
       return f64_ < other.f64_;
     case DataType::kInt:
@@ -61,7 +86,7 @@ uint64_t Value::Hash() const {
     case DataType::kNull:
       return seed;
     case DataType::kString:
-      return HashCombine(seed, HashBytes(str_));
+      return HashCombine(seed, HashBytes(*str_));
     case DataType::kDouble: {
       // Normalize -0.0 to +0.0 so equal doubles hash equal.
       double d = (f64_ == 0.0) ? 0.0 : f64_;
@@ -90,7 +115,7 @@ std::string Value::ToString() const {
     case DataType::kBool:
       return u64_ ? "true" : "false";
     case DataType::kString:
-      return "'" + str_ + "'";
+      return "'" + *str_ + "'";
     case DataType::kIp:
       return FormatIpv4(static_cast<uint32_t>(u64_));
   }
@@ -98,7 +123,7 @@ std::string Value::ToString() const {
 }
 
 size_t Value::WireSize() const {
-  if (type_ == DataType::kString) return str_.size() + 4;
+  if (type_ == DataType::kString) return str_->size() + 4;
   return DataTypeWireSize(type_);
 }
 

@@ -3,12 +3,15 @@
 /// \file value.h
 /// \brief Value: a dynamically typed scalar flowing through the engine.
 ///
-/// A Value is a small tagged union. Integral payloads live inline; strings
-/// live in a std::string member (only materialized for string values). The
-/// engine's hot path (packet tuples) never touches the string member.
+/// A Value is a 16-byte tagged union: a one-byte type tag and an 8-byte
+/// payload. Integral and double payloads live inline; a string lives behind
+/// an owning pointer in the payload, deep-copied with the value. Only sketch
+/// summary blobs and string literals are strings, so packet tuples never
+/// touch the heap per cell and copying one is a tag test plus a word copy.
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/hash.h"
 #include "types/data_type.h"
@@ -20,6 +23,40 @@ class Value {
  public:
   /// Constructs a NULL value.
   Value() : type_(DataType::kNull), u64_(0) {}
+
+  // Copies deep-copy a string payload; a moved-from value is NULL.
+  Value(const Value& other) : type_(other.type_), u64_(other.u64_) {
+    if (type_ == DataType::kString) [[unlikely]] {
+      str_ = new std::string(*other.str_);
+    }
+  }
+  Value(Value&& other) noexcept : type_(other.type_), u64_(other.u64_) {
+    other.type_ = DataType::kNull;
+    other.u64_ = 0;
+  }
+  Value& operator=(const Value& other) {
+    const bool strings =
+        type_ == DataType::kString || other.type_ == DataType::kString;
+    if (strings) [[unlikely]] {
+      AssignSlow(other);
+      return *this;
+    }
+    type_ = other.type_;
+    u64_ = other.u64_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this == &other) return *this;
+    if (type_ == DataType::kString) [[unlikely]] delete str_;
+    type_ = other.type_;
+    u64_ = other.u64_;
+    other.type_ = DataType::kNull;
+    other.u64_ = 0;
+    return *this;
+  }
+  ~Value() {
+    if (type_ == DataType::kString) [[unlikely]] delete str_;
+  }
 
   static Value Null() { return Value(); }
   static Value Uint(uint64_t v) { return Value(DataType::kUint, v); }
@@ -39,7 +76,7 @@ class Value {
   static Value Ip(uint32_t v) { return Value(DataType::kIp, v); }
   static Value String(std::string v) {
     Value out(DataType::kString, 0);
-    out.str_ = std::move(v);
+    out.str_ = new std::string(std::move(v));
     return out;
   }
 
@@ -51,7 +88,10 @@ class Value {
   int64_t int_value() const { return i64_; }
   double double_value() const { return f64_; }
   bool bool_value() const { return u64_ != 0; }
-  const std::string& string_value() const { return str_; }
+  /// \brief The string payload; "" for a non-string value.
+  const std::string& string_value() const {
+    return type_ == DataType::kString ? *str_ : EmptyString();
+  }
 
   // The numeric wideners are inline: aggregate accumulators call them once
   // per input tuple, where an out-of-line call costs more than the switch.
@@ -127,13 +167,20 @@ class Value {
  private:
   Value(DataType type, uint64_t payload) : type_(type), u64_(payload) {}
 
+  /// Copy-assignment where either side holds a string (out of line: the
+  /// packet hot path never takes it).
+  void AssignSlow(const Value& other);
+  static const std::string& EmptyString();
+
   DataType type_;
   union {
     uint64_t u64_;
     int64_t i64_;
     double f64_;
+    std::string* str_;  // kString only; owned
   };
-  std::string str_;
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay a 16-byte tagged union");
 
 }  // namespace streampart

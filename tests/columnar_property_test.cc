@@ -7,8 +7,10 @@
 ///    collapse NULL to false, so applying the conjuncts of a random CNF
 ///    predicate clause-at-a-time over a selection vector yields the same
 ///    final selection for *every* clause permutation — and the same rows the
-///    row-path Expr::Eval keeps. OrderClauses must also be deterministic
-///    (stable sort) and conjunction-preserving.
+///    row-path Expr::Eval keeps, over a null-free batch and one with NULL
+///    cells, with clause shapes on both sides of each fast-path guard.
+///    OrderClauses must also be deterministic (stable sort) and
+///    conjunction-preserving.
 ///
 ///  * The three execution paths agree on arbitrary workloads: randomized
 ///    query × trace runs produce identical output sequences and OpStats
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <random>
 #include <string>
@@ -57,6 +60,9 @@ constexpr SchemaCol kCols[] = {
     {"timestamp", DataType::kUint},
 };
 
+constexpr BinaryOp kCmps[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                              BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+
 /// One random comparison clause: column [op arith-literal] cmp literal, or
 /// column cmp column of the same type. Constants are drawn small enough
 /// that clauses are neither always-true nor always-false on real traces.
@@ -64,8 +70,6 @@ ExprPtr RandomClause(std::mt19937* rng) {
   std::uniform_int_distribution<int> col_pick(0, 8);
   std::uniform_int_distribution<int> cmp_pick(0, 5);
   std::uniform_int_distribution<int> shape_pick(0, 3);
-  constexpr BinaryOp kCmps[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
-                                BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
   int ci = col_pick(*rng);
   const SchemaCol& col = kCols[ci];
   BinaryOp cmp = kCmps[cmp_pick(*rng)];
@@ -106,13 +110,82 @@ ExprPtr RandomClause(std::mt19937* rng) {
   return Expr::Binary(cmp, std::move(lhs), Expr::Literal(std::move(lit)));
 }
 
+/// RandomClause's unsigned shapes half the time; otherwise a shape on the
+/// other side of a columnar fast-path guard: a kInt operand (unary
+/// negate), a kDouble or kBool literal, a literal on the left, a shift by
+/// 64 or more, or a division that can be NULL (by a column or by 0).
+ExprPtr RandomGuardClause(std::mt19937* rng) {
+  std::uniform_int_distribution<int> shape_pick(0, 11);
+  const int shape = shape_pick(*rng);
+  if (shape < 6) return RandomClause(rng);
+  std::uniform_int_distribution<int> col_pick(0, 8);
+  std::uniform_int_distribution<int> cmp_pick(0, 5);
+  std::uniform_int_distribution<uint64_t> v_pick(0, 4096);
+  std::bernoulli_distribution coin(0.5);
+  const SchemaCol& col = kCols[col_pick(*rng)];
+  const BinaryOp cmp = kCmps[cmp_pick(*rng)];
+  ExprPtr c = Expr::Column(col.name);
+  auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
+  switch (shape) {
+    case 6: {  // -col cmp literal: the signed ladder
+      ExprPtr neg = Expr::Unary(UnaryOp::kNegate, std::move(c));
+      const int64_t k = -static_cast<int64_t>(v_pick(*rng));
+      return Expr::Binary(cmp, std::move(neg),
+                          coin(*rng) ? lit(Value::Int(k))
+                                     : lit(Value::Uint(v_pick(*rng))));
+    }
+    case 7:  // col cmp double literal
+      return Expr::Binary(
+          cmp, std::move(c),
+          lit(Value::Double(static_cast<double>(v_pick(*rng)) + 0.5)));
+    case 8: {  // a kBool literal: against a comparison, or the column
+      ExprPtr lhs = std::move(c);
+      if (coin(*rng)) {
+        lhs = Expr::Binary(kCmps[cmp_pick(*rng)], std::move(lhs),
+                           lit(Value::Uint(v_pick(*rng))));
+      }
+      return Expr::Binary(cmp, std::move(lhs), lit(Value::Bool(coin(*rng))));
+    }
+    case 9: {  // literal on the left, of a column or of `k op col`
+      ExprPtr rhs = std::move(c);
+      if (coin(*rng)) {
+        constexpr BinaryOp kOps[] = {BinaryOp::kSub, BinaryOp::kBitAnd,
+                                     BinaryOp::kMul, BinaryOp::kShiftRight};
+        std::uniform_int_distribution<int> op_pick(0, 3);
+        rhs = Expr::Binary(kOps[op_pick(*rng)], lit(Value::Uint(v_pick(*rng))),
+                           std::move(rhs));
+      }
+      return Expr::Binary(cmp, lit(Value::Uint(v_pick(*rng))),
+                          std::move(rhs));
+    }
+    case 10: {  // shifts straddling 64
+      std::uniform_int_distribution<uint64_t> s_pick(56, 72);
+      ExprPtr shifted = Expr::Binary(
+          coin(*rng) ? BinaryOp::kShiftLeft : BinaryOp::kShiftRight,
+          std::move(c), lit(Value::Uint(s_pick(*rng))));
+      return Expr::Binary(cmp, std::move(shifted),
+                          lit(Value::Uint(v_pick(*rng) % 8)));
+    }
+    default: {  // division or modulo by a column or a literal in [0, 3]
+      ExprPtr divisor = coin(*rng)
+                            ? Expr::Column(kCols[col_pick(*rng)].name)
+                            : lit(Value::Uint(v_pick(*rng) % 4));
+      ExprPtr quotient =
+          Expr::Binary(coin(*rng) ? BinaryOp::kDiv : BinaryOp::kMod,
+                       std::move(c), std::move(divisor));
+      return Expr::Binary(cmp, std::move(quotient),
+                          lit(Value::Uint(v_pick(*rng) % 16)));
+    }
+  }
+}
+
 std::vector<ExprPtr> RandomBoundClauses(std::mt19937* rng, size_t count) {
   BindingContext ctx;
   ctx.AddInput("", MakePacketSchema());
   std::vector<ExprPtr> clauses;
   clauses.reserve(count);
   while (clauses.size() < count) {
-    ExprPtr clause = RandomClause(rng);
+    ExprPtr clause = RandomGuardClause(rng);
     auto bound = clause->Bind(ctx);
     SP_CHECK(bound.ok()) << clause->ToString() << ": "
                          << bound.status().ToString();
@@ -142,43 +215,71 @@ SelectionVector FilterWith(const std::vector<ExprPtr>& clauses,
   return sel;
 }
 
+/// \p trace with NULL cells: per column a null rate of 0, 5%, 30% or 100%
+/// (an all-NULL column is typeless), so clauses see null-free, sparse-null
+/// and whole-NULL operands in one batch.
+TupleBatch WithNullCells(TupleBatch trace, std::mt19937* rng) {
+  constexpr double kRates[] = {0.0, 0.05, 0.3, 1.0};
+  std::uniform_int_distribution<int> rate_pick(0, 3);
+  double rate[std::size(kCols)];
+  for (double& r : rate) r = kRates[rate_pick(*rng)];
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (Tuple& t : trace) {
+    for (size_t j = 0; j < std::size(kCols); ++j) {
+      if (u(*rng) < rate[j]) t.at(j) = Value::Null();
+    }
+  }
+  return trace;
+}
+
 class ClauseOrderPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ClauseOrderPropertyTest, FilterIsPermutationInvariantAndMatchesEval) {
   std::mt19937 rng(GetParam());
-  TupleBatch trace = testing::MakeSmallTrace(/*duration_sec=*/2, /*pps=*/800);
-  ColumnBatch batch;
-  ASSERT_TRUE(batch.FromTuples(TupleSpan(trace)));
+  const TupleBatch dense =
+      testing::MakeSmallTrace(/*duration_sec=*/2, /*pps=*/800);
+  const TupleBatch nullable = WithNullCells(dense, &rng);
+  ColumnBatch dense_batch, nullable_batch;
+  ASSERT_TRUE(dense_batch.FromTuples(TupleSpan(dense)));
+  ASSERT_TRUE(nullable_batch.FromTuples(TupleSpan(nullable)));
 
   std::uniform_int_distribution<size_t> n_pick(1, 5);
   for (int iter = 0; iter < 40; ++iter) {
     std::vector<ExprPtr> clauses = RandomBoundClauses(&rng, n_pick(rng));
-    std::string ctx = "seed=" + std::to_string(GetParam()) + " iter=" +
-                      std::to_string(iter) + " " + ClausesToString(clauses);
-
-    // Row-path reference: Expr::Eval of the full conjunction, NULL → false.
     ExprPtr conj = ConjunctionOf(clauses);
-    SelectionVector expected;
-    for (size_t i = 0; i < trace.size(); ++i) {
-      if (conj->Eval(trace[i]).Truthy()) {
-        expected.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    for (const bool with_nulls : {false, true}) {
+      const TupleBatch& trace = with_nulls ? nullable : dense;
+      const ColumnBatch& batch = with_nulls ? nullable_batch : dense_batch;
+      std::string ctx = "seed=" + std::to_string(GetParam()) + " iter=" +
+                        std::to_string(iter) +
+                        (with_nulls ? " nulls " : " ") +
+                        ClausesToString(clauses);
 
-    // Original order, five random permutations, and the cost order must all
-    // select exactly those rows.
-    EXPECT_EQ(expected, FilterWith(clauses, batch)) << ctx << "(source order)";
-    std::vector<ExprPtr> permuted = clauses;
-    for (int p = 0; p < 5; ++p) {
-      std::shuffle(permuted.begin(), permuted.end(), rng);
-      EXPECT_EQ(expected, FilterWith(permuted, batch))
-          << ctx << "(permutation " << p << ")";
+      // Row-path reference: Expr::Eval of the full conjunction, NULL →
+      // false.
+      SelectionVector expected;
+      for (size_t i = 0; i < trace.size(); ++i) {
+        if (conj->Eval(trace[i]).Truthy()) {
+          expected.push_back(static_cast<uint32_t>(i));
+        }
+      }
+
+      // Original order, five random permutations, and the cost order must
+      // all select exactly those rows.
+      EXPECT_EQ(expected, FilterWith(clauses, batch))
+          << ctx << "(source order)";
+      std::vector<ExprPtr> permuted = clauses;
+      for (int p = 0; p < 5; ++p) {
+        std::shuffle(permuted.begin(), permuted.end(), rng);
+        EXPECT_EQ(expected, FilterWith(permuted, batch))
+            << ctx << "(permutation " << p << ")";
+      }
+      EXPECT_EQ(expected, FilterWith(OrderClauses(conj, {}), batch))
+          << ctx << "(heuristic order)";
+      EXPECT_EQ(expected,
+                FilterWith(OrderClauses(conj, TupleSpan(trace)), batch))
+          << ctx << "(measured order)";
     }
-    EXPECT_EQ(expected, FilterWith(OrderClauses(conj, {}), batch))
-        << ctx << "(heuristic order)";
-    EXPECT_EQ(expected,
-              FilterWith(OrderClauses(conj, TupleSpan(trace)), batch))
-        << ctx << "(measured order)";
   }
 }
 

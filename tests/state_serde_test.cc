@@ -3,15 +3,20 @@
 /// every stateful operator, running prefix -> CheckpointState -> RestoreState
 /// into a fresh instance -> suffix must reproduce the uninterrupted run
 /// exactly, on both the per-tuple and the batched execution paths. Also
-/// checks blob determinism and rejection of corrupt payloads.
+/// checks blob determinism, rejection of corrupt payloads, and that every
+/// mutated checkpoint is either rejected or resumes without crashing.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
+#include "common/rng.h"
 #include "exec/ops.h"
+#include "exec/sketch_op.h"
 #include "exec/sliding.h"
 #include "plan/query_graph.h"
+#include "sketch/sketch.h"
 #include "tests/test_util.h"
 
 namespace streampart {
@@ -113,8 +118,34 @@ class StateSerdeTest : public ::testing::Test {
     }
   }
 
+  /// The two aggregate streams the join tests join on (tb, k).
+  void SetUpStreams() {
+    left_ = Node("L", "SELECT tb, srcIP as k, SUM(len) as v FROM TCP "
+                      "GROUP BY time/10 as tb, srcIP");
+    right_ = Node("R", "SELECT tb, srcIP as k, COUNT(*) as v FROM TCP "
+                       "GROUP BY time/10 as tb, srcIP");
+  }
+
+  static Tuple Row(uint64_t tb, uint64_t k, uint64_t v) {
+    return Tuple(
+        std::vector<Value>{Value::Uint(tb), Value::Ip(k), Value::Uint(v)});
+  }
+
+  /// Interleaved (port, tuple) feed covering several join windows.
+  static std::vector<std::pair<size_t, Tuple>> Feed() {
+    std::vector<std::pair<size_t, Tuple>> feed;
+    for (uint64_t tb = 0; tb < 6; ++tb) {
+      for (uint64_t k = 1; k <= 3; ++k) {
+        feed.emplace_back(0, Row(tb, k, 10 * tb + k));
+        if (k != 2) feed.emplace_back(1, Row(tb, k, 100 * tb + k));
+      }
+    }
+    return feed;
+  }
+
   Catalog catalog_;
   QueryGraph graph_;
+  QueryNodePtr left_, right_;
 };
 
 // ---------------------------------------------------------------------------
@@ -187,30 +218,6 @@ TEST_F(StateSerdeTest, AggregateRejectsCorruptBlob) {
 
 class JoinSerdeTest : public StateSerdeTest {
  protected:
-  void SetUpStreams() {
-    left_ = Node("L", "SELECT tb, srcIP as k, SUM(len) as v FROM TCP "
-                      "GROUP BY time/10 as tb, srcIP");
-    right_ = Node("R", "SELECT tb, srcIP as k, COUNT(*) as v FROM TCP "
-                       "GROUP BY time/10 as tb, srcIP");
-  }
-
-  static Tuple Row(uint64_t tb, uint64_t k, uint64_t v) {
-    return Tuple(
-        std::vector<Value>{Value::Uint(tb), Value::Ip(k), Value::Uint(v)});
-  }
-
-  /// Interleaved (port, tuple) feed covering several join windows.
-  static std::vector<std::pair<size_t, Tuple>> Feed() {
-    std::vector<std::pair<size_t, Tuple>> feed;
-    for (uint64_t tb = 0; tb < 6; ++tb) {
-      for (uint64_t k = 1; k <= 3; ++k) {
-        feed.emplace_back(0, Row(tb, k, 10 * tb + k));
-        if (k != 2) feed.emplace_back(1, Row(tb, k, 100 * tb + k));
-      }
-    }
-    return feed;
-  }
-
   TupleBatch RunResumed(const QueryNodePtr& join,
                         const std::vector<std::pair<size_t, Tuple>>& feed,
                         size_t split) {
@@ -235,8 +242,6 @@ class JoinSerdeTest : public StateSerdeTest {
     pre.insert(pre.end(), post.begin(), post.end());
     return pre;
   }
-
-  QueryNodePtr left_, right_;
 };
 
 TEST_F(JoinSerdeTest, InnerJoinRoundTripPreservesWindowsAndWatermarks) {
@@ -401,6 +406,295 @@ TEST_F(StateSerdeTest, StatelessOperatorHasEmptyBlobAndRejectsPayload) {
   OperatorPtr fresh = Make(node);
   EXPECT_OK(fresh->RestoreState(std::string_view()));
   EXPECT_FALSE(fresh->RestoreState("unexpected").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Restores that would crash later
+// ---------------------------------------------------------------------------
+
+// Each blob below is well-framed, so a decoder that checks only framing
+// accepts it; the restored operator then reads past a tuple's end (or
+// aborts) on its next push or flush.
+
+/// \p blob with the group key whose varint arity sits at \p arity_at
+/// narrowed by its first value (arity and key bytes both rewritten).
+std::string DropFirstKeyValue(const std::string& blob, size_t arity_at) {
+  size_t offset = arity_at;
+  uint64_t arity = 0;
+  SP_CHECK(GetVarint(blob, &offset, &arity).ok() && arity > 0);
+  Value first;
+  SP_CHECK(DecodeValue(blob, &offset, &first).ok());
+  std::string out = blob.substr(0, arity_at);
+  PutVarint(arity - 1, &out);
+  out += blob.substr(offset);
+  return out;
+}
+
+TEST_F(StateSerdeTest, AggregateAndSlidingRejectNarrowGroupKey) {
+  QueryNodePtr node = Node(
+      "counts", "SELECT tb, srcIP, COUNT(*) as c FROM TCP "
+                "GROUP BY time/10 as tb, srcIP");
+  const TupleBatch input = Packets();
+
+  // AggregateOp, per-tuple groups: u8 has-epoch, epoch value, varint group
+  // count, then the first group's key arity.
+  OperatorPtr agg = Make(node);
+  for (size_t i = 0; i < 17; ++i) agg->Push(0, input[i]);
+  std::string blob;
+  agg->CheckpointState(&blob);
+  size_t offset = 1;
+  Value epoch;
+  uint64_t count = 0;
+  ASSERT_OK(DecodeValue(blob, &offset, &epoch));
+  ASSERT_OK(GetVarint(blob, &offset, &count));
+  ASSERT_GT(count, 0u);
+  EXPECT_OK(Make(node)->RestoreState(blob));
+  EXPECT_FALSE(Make(node)->RestoreState(DropFirstKeyValue(blob, offset)).ok());
+
+  // SlidingAggregateOp: u8 has-pane, varint pane, varint next end, varint
+  // open-group count, then the first open group's key arity.
+  auto sliding = [&node] {
+    auto op = SlidingAggregateOp::Make(node, &UdafRegistry::Default(),
+                                       SlidingSpec{3, 1});
+    SP_CHECK(op.ok()) << op.status().ToString();
+    return std::move(*op);
+  };
+  auto first = sliding();
+  for (size_t i = 0; i < 17; ++i) first->Push(0, input[i]);
+  blob.clear();
+  first->CheckpointState(&blob);
+  offset = 1;
+  uint64_t skipped = 0;
+  for (int field = 0; field < 3; ++field) {
+    ASSERT_OK(GetVarint(blob, &offset, &skipped));
+  }
+  ASSERT_GT(skipped, 0u);  // open groups
+  EXPECT_OK(sliding()->RestoreState(blob));
+  EXPECT_FALSE(sliding()->RestoreState(DropFirstKeyValue(blob, offset)).ok());
+}
+
+TEST(MergeSerdeTest, RejectsQueuedTupleNarrowerThanSchema) {
+  SchemaPtr schema = Schema::Make({
+      Field{"t", DataType::kUint, TemporalOrder::kIncreasing},
+      Field{"v", DataType::kUint, TemporalOrder::kNone},
+  });
+  std::string blob;
+  blob.push_back(0);  // port 0: live, one queued tuple of arity 1
+  PutVarint(1, &blob);
+  EncodeTuple(Tuple(std::vector<Value>{Value::Uint(5)}), &blob);
+  blob.push_back(0);  // port 1: live, empty
+  PutVarint(0, &blob);
+  MergeOp op("m", schema, 2);
+  EXPECT_FALSE(op.RestoreState(blob).ok());
+}
+
+TEST_F(JoinSerdeTest, RejectsBufferedTupleOrWindowKeyOfWrongArity) {
+  SetUpStreams();
+  QueryNodePtr join = Node(
+      "j", "SELECT L.tb, L.k, L.v, R.v FROM L, R "
+           "WHERE L.tb = R.tb and L.k = R.k");
+  // No watermarks, one window holding one left tuple.
+  auto blob = [](const std::vector<Value>& key, const Tuple& left) {
+    std::string out = {0, 0};
+    PutVarint(1, &out);
+    PutVarint(key.size(), &out);
+    for (const Value& v : key) EncodeValue(v, &out);
+    PutVarint(1, &out);
+    EncodeTuple(left, &out);
+    out.push_back(0);  // matched
+    PutVarint(0, &out);
+    return out;
+  };
+  const Tuple good_row = Row(0, 1, 1);
+  EXPECT_OK(JoinOp(join).RestoreState(blob({Value::Uint(0)}, good_row)));
+  // A buffered left tuple narrower than L's schema.
+  EXPECT_FALSE(JoinOp(join)
+                   .RestoreState(blob({Value::Uint(0)},
+                                      Tuple(std::vector<Value>{
+                                          Value::Uint(0)})))
+                   .ok());
+  // A window key with two values; the join has one window predicate.
+  EXPECT_FALSE(JoinOp(join)
+                   .RestoreState(blob({Value::Uint(0), Value::Uint(1)},
+                                      good_row))
+                   .ok());
+}
+
+TEST_F(StateSerdeTest, SketchRestoreRejectsCandidatesAFlushCannotUse) {
+  QueryNodePtr node = Node(
+      "approx", "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP "
+                "GROUP BY time/10 as tb, srcIP APPROX 0.05");
+  SketchSpec spec;
+  spec.eps = 0.05;
+  std::string grids;
+  sketch::CmSketch(spec.Grid()).Serialize(&grids);  // one aggregate
+  auto blob = [&grids](bool with_epoch, const std::string& key) {
+    std::string out;
+    out.push_back(with_epoch ? 1 : 0);
+    if (with_epoch) EncodeValue(Value::Uint(1), &out);
+    out += grids;
+    sketch::PutU64(&out, 1);
+    sketch::PutBytes(&out, key);
+    return out;
+  };
+  // A candidate key is the encoded srcIP: exactly one value.
+  std::string good_key;
+  EncodeValue(Value::Ip(0xAA), &good_key);
+  const std::string unknown_tag(1, '\x09');
+  const std::string two_values = good_key + good_key;
+
+  EXPECT_OK(SketchOp(node, spec).RestoreState(blob(true, good_key)));
+  EXPECT_OK(SketchMergeOp(node, spec).RestoreState(blob(true, good_key)));
+  for (const std::string& key : {unknown_tag, two_values}) {
+    EXPECT_FALSE(SketchMergeOp(node, spec).RestoreState(blob(true, key)).ok());
+    EXPECT_FALSE(SketchOp(node, spec).RestoreState(blob(true, key)).ok());
+  }
+  // Candidates with no open epoch: a flush would read the missing epoch.
+  EXPECT_FALSE(
+      SketchMergeOp(node, spec).RestoreState(blob(false, good_key)).ok());
+  EXPECT_FALSE(SketchOp(node, spec).RestoreState(blob(false, good_key)).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Mutated checkpoints
+// ---------------------------------------------------------------------------
+
+/// One stateful operator under the mutation property: a factory, the
+/// (port, tuple) prefix its checkpoint is taken after, and the suffix a
+/// restored instance consumes before finishing every port.
+struct MutationCase {
+  std::string name;
+  std::function<OperatorPtr()> make;
+  size_t ports = 1;
+  std::vector<std::pair<size_t, Tuple>> prefix;
+  std::vector<std::pair<size_t, Tuple>> suffix;
+};
+
+std::vector<std::pair<size_t, Tuple>> OnPortZero(const TupleBatch& batch,
+                                                 size_t begin, size_t end) {
+  std::vector<std::pair<size_t, Tuple>> out;
+  for (size_t i = begin; i < end; ++i) out.emplace_back(0, batch[i]);
+  return out;
+}
+
+TEST_F(StateSerdeTest, MutatedCheckpointsAreRejectedOrResumeCleanly) {
+  const TupleBatch packets = Packets();
+  std::vector<MutationCase> cases;
+  auto add = [&cases](std::string name, std::function<OperatorPtr()> make,
+                      size_t ports,
+                      std::vector<std::pair<size_t, Tuple>> feed,
+                      size_t split) {
+    MutationCase c{std::move(name), std::move(make), ports, {}, {}};
+    c.prefix.assign(feed.begin(), feed.begin() + split);
+    c.suffix.assign(feed.begin() + split, feed.end());
+    cases.push_back(std::move(c));
+  };
+  const std::vector<std::pair<size_t, Tuple>> packet_feed =
+      OnPortZero(packets, 0, packets.size());
+
+  QueryNodePtr windowed = Node(
+      "counts", "SELECT tb, srcIP, COUNT(*) as c, SUM(len) as s FROM TCP "
+                "GROUP BY time/10 as tb, srcIP");
+  add("aggregate/windowed", [windowed] { return Make(windowed); }, 1,
+      packet_feed, 17);
+  QueryNodePtr blocking = Node(
+      "by_src", "SELECT srcIP, COUNT(*) as c FROM TCP GROUP BY srcIP");
+  add("aggregate/blocking", [blocking] { return Make(blocking); }, 1,
+      packet_feed, 23);
+  add("sliding",
+      [windowed]() -> OperatorPtr {
+        auto op = SlidingAggregateOp::Make(windowed, &UdafRegistry::Default(),
+                                           SlidingSpec{3, 1});
+        SP_CHECK(op.ok()) << op.status().ToString();
+        return std::move(*op);
+      },
+      1, packet_feed, 27);
+
+  SchemaPtr merge_schema = Schema::Make({
+      Field{"t", DataType::kUint, TemporalOrder::kIncreasing},
+      Field{"v", DataType::kUint, TemporalOrder::kNone},
+  });
+  auto merge_row = [](uint64_t t, uint64_t v) {
+    return Tuple(std::vector<Value>{Value::Uint(t), Value::Uint(v)});
+  };
+  add("merge",
+      [merge_schema]() -> OperatorPtr {
+        return std::make_unique<MergeOp>("m", merge_schema, 3);
+      },
+      3,
+      {{0, merge_row(5, 0)}, {0, merge_row(9, 0)}, {1, merge_row(3, 1)},
+       {1, merge_row(7, 1)}, {0, merge_row(11, 0)}, {2, merge_row(12, 2)}},
+      3);
+
+  SetUpStreams();
+  QueryNodePtr inner = Node(
+      "j", "SELECT L.tb, L.k, L.v, R.v FROM L, R "
+           "WHERE L.tb = R.tb and L.k = R.k");
+  QueryNodePtr outer = Node(
+      "jo", "SELECT L.tb, L.k, L.v, R.v FROM L FULL OUTER JOIN R "
+            "WHERE L.tb = R.tb and L.k = R.k");
+  const auto join_feed = Feed();
+  for (const QueryNodePtr& join : {inner, outer}) {
+    add(join == inner ? "join/inner" : "join/outer",
+        [join]() -> OperatorPtr { return std::make_unique<JoinOp>(join); },
+        2, join_feed, join_feed.size() / 2);
+  }
+
+  QueryNodePtr approx = Node(
+      "approx", "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP "
+                "GROUP BY time/10 as tb, srcIP APPROX 0.05");
+  SketchSpec spec;
+  spec.eps = 0.05;
+  add("sketch/host",
+      [approx, spec]() -> OperatorPtr {
+        return std::make_unique<SketchOp>(approx, spec);
+      },
+      1, packet_feed, 17);
+  TupleBatch summaries;
+  {
+    SketchOp host(approx, spec);
+    host.AddSink([&summaries](const Tuple& t) { summaries.push_back(t); });
+    for (const Tuple& t : packets) host.Push(0, t);
+    host.Finish(0);
+  }
+  ASSERT_GE(summaries.size(), 3u);
+  add("sketch/merge",
+      [approx, spec]() -> OperatorPtr {
+        return std::make_unique<SketchMergeOp>(approx, spec);
+      },
+      1, OnPortZero(summaries, 0, summaries.size()), 2);
+
+  Rng rng(0x5eed0025);
+  constexpr int kMutants = 3000;
+  for (const MutationCase& c : cases) {
+    std::string blob;
+    {
+      OperatorPtr source = c.make();
+      for (const auto& [port, t] : c.prefix) source->Push(port, t);
+      source->CheckpointState(&blob);
+    }
+    int rejected = 0;
+    int resumed = 0;
+    for (int m = 0; m < kMutants; ++m) {
+      const std::string mutant = testing::MutateEncoding(blob, &rng);
+      OperatorPtr op = c.make();
+      if (!op->RestoreState(mutant).ok()) {
+        ++rejected;
+        continue;
+      }
+      // An accepted mutant is some valid state: the operator must consume
+      // the suffix, finish, and checkpoint again.
+      op->AddSink([](const Tuple&) {});
+      for (const auto& [port, t] : c.suffix) op->Push(port, t);
+      for (size_t p = 0; p < c.ports; ++p) op->Finish(p);
+      std::string again;
+      op->CheckpointState(&again);
+      ++resumed;
+    }
+    // Both outcomes occur, so neither side of the property is vacuous.
+    EXPECT_GT(rejected, 0) << c.name;
+    EXPECT_GT(resumed, 0) << c.name;
+  }
 }
 
 }  // namespace

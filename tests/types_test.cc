@@ -92,6 +92,129 @@ TEST(ValueTest, NumericWidening) {
   EXPECT_EQ(Value::Bool(true).AsUint64(), 1u);
 }
 
+// A Value is 16 bytes with a string behind an owning pointer. These pin the
+// ownership rules: copies are deep, a moved-from value is NULL, and every
+// string/non-string direction of each special member leaves both sides
+// valid (ASan flags any double free or leak).
+
+TEST(ValueTest, SixteenBytes) { EXPECT_EQ(sizeof(Value), 16u); }
+
+TEST(ValueTest, CopyConstructionIsDeep) {
+  const Value str = Value::String("summary-blob");
+  Value copy(str);
+  EXPECT_EQ(copy, str);
+  EXPECT_NE(&copy.string_value(), &str.string_value());
+  const Value num = Value::Uint(7);
+  Value num_copy(num);
+  EXPECT_EQ(num_copy, num);
+}
+
+TEST(ValueTest, CopyAssignmentInEveryDirection) {
+  const Value str = Value::String("a string longer than any small buffer");
+  const Value num = Value::Ip(0x0A000001);
+
+  Value target = Value::Uint(1);
+  target = str;  // non-string <- string
+  EXPECT_EQ(target, str);
+  EXPECT_NE(&target.string_value(), &str.string_value());
+  target = Value::String("x");  // string <- string (shorter)
+  target = str;
+  EXPECT_EQ(target, str);
+  target = num;  // string <- non-string
+  EXPECT_EQ(target, num);
+  EXPECT_EQ(target.string_value(), "");
+  target = Value::Double(2.5);  // non-string <- non-string
+  EXPECT_EQ(target, Value::Double(2.5));
+  EXPECT_EQ(str.string_value(), "a string longer than any small buffer");
+}
+
+TEST(ValueTest, MovesLeaveNullInEveryDirection) {
+  Value str = Value::String("blob");
+  Value moved(std::move(str));
+  EXPECT_TRUE(str.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.string_value(), "blob");
+  Value num = Value::Int(-9);
+  Value moved_num(std::move(num));
+  EXPECT_TRUE(num.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved_num, Value::Int(-9));
+
+  Value target = Value::String("old");
+  Value from_str = Value::String("new");
+  target = std::move(from_str);  // string <- string
+  EXPECT_EQ(target.string_value(), "new");
+  EXPECT_TRUE(from_str.is_null());  // NOLINT(bugprone-use-after-move)
+  Value from_num = Value::Uint(4);
+  target = std::move(from_num);  // string <- non-string
+  EXPECT_EQ(target, Value::Uint(4));
+  EXPECT_TRUE(from_num.is_null());  // NOLINT(bugprone-use-after-move)
+  Value again = Value::String("again");
+  target = std::move(again);  // non-string <- string
+  EXPECT_EQ(target.string_value(), "again");
+  EXPECT_TRUE(again.is_null());  // NOLINT(bugprone-use-after-move)
+  Value last = Value::Bool(true);
+  Value plain = Value::Uint(3);
+  plain = std::move(last);  // non-string <- non-string
+  EXPECT_EQ(plain, Value::Bool(true));
+  EXPECT_TRUE(last.is_null());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(ValueTest, SelfAssignmentKeepsTheValue) {
+  for (const Value& original : {Value::String("self"), Value::Uint(3)}) {
+    Value v = original;
+    Value& alias = v;
+    v = alias;
+    EXPECT_EQ(v, original);
+    v = std::move(alias);
+    EXPECT_EQ(v, original);
+  }
+}
+
+TEST(ValueTest, StringValueOfNonStringIsEmpty) {
+  for (const Value& v : {Value::Null(), Value::Uint(1), Value::Int(-1),
+                         Value::Double(2.0), Value::Bool(true),
+                         Value::Ip(5)}) {
+    EXPECT_EQ(v.string_value(), "") << v.ToString();
+  }
+}
+
+TEST(ValueTest, StringComparisonAndHashAreByBytes) {
+  const Value a = Value::String("abc");
+  const Value b = Value::String(std::string("ab") + "c");
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_LT(Value::String("ab"), a);
+  EXPECT_LT(a, Value::String("abd"));
+  EXPECT_LT(Value::Uint(~uint64_t{0}), Value::String(""));  // by type tag
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(a.Hash(),
+            HashCombine(Mix64(static_cast<uint64_t>(DataType::kString)),
+                        HashBytes("abc")));
+}
+
+TEST(ValueTest, SummaryBlobCellSurvivesBatchCopyAndSerde) {
+  // A sketch summary row: epoch plus a binary blob with embedded NULs.
+  std::string blob("SKS1\0\x01\xff", 7);
+  blob += std::string(300, '\x5a');
+  TupleBatch batch;
+  batch.push_back(
+      Tuple(std::vector<Value>{Value::Uint(3), Value::String(blob)}));
+  batch.push_back(Tuple(std::vector<Value>{Value::Uint(4), Value::String("")}));
+  TupleBatch copy = batch;
+  batch.clear();  // the copy owns its strings
+  ASSERT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy[0].at(1).string_value(), blob);
+
+  std::string wire;
+  EncodeBatch(copy, &wire);
+  auto decoded = DecodeBatch(wire);
+  ASSERT_OK(decoded.status());
+  ASSERT_EQ(decoded->size(), 2u);
+  EXPECT_EQ((*decoded)[0], copy[0]);
+  EXPECT_EQ((*decoded)[0].at(1).string_value(), blob);
+  EXPECT_EQ((*decoded)[1].at(1), Value::String(""));
+}
+
 // ---------------------------------------------------------------------------
 // Schema
 // ---------------------------------------------------------------------------
