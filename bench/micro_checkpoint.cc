@@ -5,9 +5,12 @@
 /// without the recovery machinery. Snapshots are priced through
 /// CpuCostParams::cycles_per_checkpoint_byte, so the overhead reported here
 /// is the model-level answer to "what does a checkpoint interval cost?".
-/// Results go to stdout and BENCH_checkpoint.json; the run fails if the
-/// default interval (RecoveryConfig::checkpoint_interval) costs >= 5% or if
-/// checkpointing perturbs any query answer.
+/// Every interval replays on the default batched route (kDefaultSourceBatch
+/// tuples per push) and once more per tuple, untimed: the two must agree on
+/// every model number. Results go to stdout and BENCH_checkpoint.json; the
+/// run fails if the default interval (RecoveryConfig::checkpoint_interval)
+/// costs >= 5%, if checkpointing perturbs any query answer, or if the
+/// batched and per-tuple model numbers differ.
 
 #include <algorithm>
 #include <chrono>
@@ -37,7 +40,29 @@ struct IntervalPoint {
   uint64_t ops_skipped = 0;     // unchanged states skipped (incremental)
   uint64_t checkpoint_bytes = 0;
   bool outputs_identical = true;  // answers match the baseline as multisets
+  bool matches_per_tuple = true;  // model numbers equal a per-tuple replay
 };
+
+/// Fills the model numbers of \p p from one replay's cell.
+void FillModel(const ExperimentCell& cell, const CpuCostParams& params,
+               IntervalPoint* p) {
+  p->cpu_seconds = 0;
+  for (const HostMetrics& host : cell.result.hosts) {
+    p->cpu_seconds += HostCpuSeconds(host, params);
+  }
+  const RecoverySection& rec = cell.ledger.recovery();
+  p->checkpoints = rec.checkpoints;
+  p->ops_serialized = rec.ops_serialized;
+  p->ops_skipped = rec.ops_skipped;
+  p->checkpoint_bytes = rec.checkpoint_bytes;
+}
+
+bool SameModel(const IntervalPoint& a, const IntervalPoint& b) {
+  return a.cpu_seconds == b.cpu_seconds && a.checkpoints == b.checkpoints &&
+         a.ops_serialized == b.ops_serialized &&
+         a.ops_skipped == b.ops_skipped &&
+         a.checkpoint_bytes == b.checkpoint_bytes;
+}
 
 bool SameOutputs(const std::map<std::string, TupleBatch>& a,
                  const std::map<std::string, TupleBatch>& b) {
@@ -69,8 +94,9 @@ int main() {
               runner.trace().size());
 
   // Interval 0 is the seed engine (no set_fault_plan call at all); the rest
-  // attach a checkpoint-only plan. Everything replays tuple-at-a-time so
-  // wall clocks compare like for like (recovery pins the per-tuple path).
+  // attach a checkpoint-only plan. Every timed replay takes the default
+  // batched route, which recovery no longer pins to per-tuple delivery, so
+  // wall clocks compare like for like.
   const uint64_t kDefaultInterval = RecoveryConfig().checkpoint_interval;
   std::vector<uint64_t> intervals = {0, 4, 8, 16};
   std::vector<IntervalPoint> points;
@@ -83,22 +109,24 @@ int main() {
     config.name = interval == 0 ? "baseline"
                                 : "ckpt_" + std::to_string(interval);
     config.faults.checkpoint_interval = interval;
+    // The untimed per-tuple reference runs first, so the timed replay never
+    // pays the process's first-run heap growth.
+    auto per_tuple = runner.RunCell(config, kHosts, 2, /*batch_size=*/0);
+    SP_CHECK(per_tuple.ok()) << per_tuple.status().ToString();
+    IntervalPoint reference;
+    FillModel(*per_tuple, runner.cpu_params(), &reference);
+
     auto start = std::chrono::steady_clock::now();
-    auto cell = runner.RunCell(config, kHosts, 2, /*batch_size=*/0);
+    auto cell = runner.RunCell(config, kHosts, 2, kDefaultSourceBatch);
     auto end = std::chrono::steady_clock::now();
     SP_CHECK(cell.ok()) << cell.status().ToString();
 
     IntervalPoint p;
     p.interval = interval;
     p.wall_s = std::chrono::duration<double>(end - start).count();
-    for (const HostMetrics& host : cell->result.hosts) {
-      p.cpu_seconds += HostCpuSeconds(host, runner.cpu_params());
-    }
+    FillModel(*cell, runner.cpu_params(), &p);
+    p.matches_per_tuple = SameModel(p, reference);
     const RecoverySection& rec = cell->ledger.recovery();
-    p.checkpoints = rec.checkpoints;
-    p.ops_serialized = rec.ops_serialized;
-    p.ops_skipped = rec.ops_skipped;
-    p.checkpoint_bytes = rec.checkpoint_bytes;
     if (interval == 0) {
       SP_CHECK(!rec.active) << "baseline must not carry a recovery section";
       baseline_copy = cell->result.outputs;
@@ -114,29 +142,34 @@ int main() {
     points.push_back(p);
   }
 
-  std::printf("%-10s %10s %14s %10s %12s %14s %10s\n", "interval", "wall (s)",
-              "sim cpu (s)", "overhead", "snapshots", "state bytes",
-              "answers");
+  std::printf("%-10s %10s %14s %10s %12s %14s %10s %10s\n", "interval",
+              "wall (s)", "sim cpu (s)", "overhead", "snapshots",
+              "state bytes", "answers", "per-tuple");
   for (const IntervalPoint& p : points) {
-    std::printf("%-10s %10.3f %14.4f %9.2f%% %12llu %14llu %10s\n",
+    std::printf("%-10s %10.3f %14.4f %9.2f%% %12llu %14llu %10s %10s\n",
                 p.interval == 0 ? "off" : std::to_string(p.interval).c_str(),
                 p.wall_s, p.cpu_seconds, p.overhead_pct,
                 static_cast<unsigned long long>(p.checkpoints),
                 static_cast<unsigned long long>(p.checkpoint_bytes),
-                p.outputs_identical ? "identical" : "MISMATCH");
+                p.outputs_identical ? "identical" : "MISMATCH",
+                p.matches_per_tuple ? "identical" : "MISMATCH");
   }
 
   bool default_ok = true;
   bool answers_ok = true;
+  bool paths_ok = true;
   for (const IntervalPoint& p : points) {
     if (p.interval == kDefaultInterval && p.overhead_pct >= 5.0) {
       default_ok = false;
     }
     answers_ok = answers_ok && p.outputs_identical;
+    paths_ok = paths_ok && p.matches_per_tuple;
   }
   std::printf("\ndefault interval (%llu) overhead < 5%%: %s\n",
               static_cast<unsigned long long>(kDefaultInterval),
               default_ok ? "yes" : "NO");
+  std::printf("batched model numbers equal per-tuple at every interval: %s\n",
+              paths_ok ? "yes" : "NO");
 
   const char* path = "BENCH_checkpoint.json";
   FILE* f = std::fopen(path, "w");
@@ -174,5 +207,5 @@ int main() {
                default_ok ? "true" : "false", answers_ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", path);
-  return default_ok && answers_ok ? 0 : 1;
+  return default_ok && answers_ok && paths_ok ? 0 : 1;
 }

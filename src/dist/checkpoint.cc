@@ -44,7 +44,7 @@ void RecoveryCoordinator::BeginCheckpoint() {
 bool RecoveryCoordinator::ShouldSerialize(int op) const {
   if (blobs_.count(op) == 0) return true;
   auto it = logs_.find(op);
-  return it != logs_.end() && !it->second.empty();
+  return it != logs_.end() && it->second.fill != 0;
 }
 
 size_t RecoveryCoordinator::StoreBlob(int op, std::string payload,
@@ -57,7 +57,7 @@ size_t RecoveryCoordinator::StoreBlob(int op, std::string payload,
   blob.tuples_out = tuples_out;
   size_t stored = blob.envelope.size();
   blobs_[op] = std::move(blob);
-  logs_[op].clear();  // the blob covers every logged delivery
+  logs_[op].fill = 0;  // the blob covers every logged delivery
   ++section_.ops_serialized;
   section_.checkpoint_bytes += stored;
   return stored;
@@ -89,16 +89,32 @@ void RecoveryCoordinator::ResetCheckpointTuplesOut(int op) {
   if (it != blobs_.end()) it->second.tuples_out = 0;
 }
 
-void RecoveryCoordinator::LogDelivery(int op, size_t port,
-                                      const Tuple& tuple) {
-  logs_[op].push_back({port, tuple});
+void RecoveryCoordinator::Log::Append(size_t port, const Tuple& tuple) {
+  if (fill == slots.size()) {
+    slots.push_back({port, tuple});
+  } else {
+    slots[fill].port = port;
+    slots[fill].tuple = tuple;
+  }
+  ++fill;
 }
 
-const std::vector<RecoveryCoordinator::Delivery>&
+void RecoveryCoordinator::LogDelivery(int op, size_t port,
+                                      const Tuple& tuple) {
+  logs_[op].Append(port, tuple);
+}
+
+void RecoveryCoordinator::LogDeliveries(int op, size_t port,
+                                        TupleSpan tuples) {
+  Log& log = logs_[op];
+  for (const Tuple& t : tuples) log.Append(port, t);
+}
+
+std::span<const RecoveryCoordinator::Delivery>
 RecoveryCoordinator::DeliveryLog(int op) const {
-  static const std::vector<Delivery> kEmpty;
   auto it = logs_.find(op);
-  return it == logs_.end() ? kEmpty : it->second;
+  if (it == logs_.end()) return {};
+  return {it->second.slots.data(), it->second.fill};
 }
 
 void RecoveryCoordinator::CountReplayedTuples(uint64_t n) {
@@ -139,6 +155,16 @@ bool RecoveryCoordinator::Deliver(const EdgeKey& key, uint64_t seq,
     edge.applied_seq = it->first;
     it = edge.arrived.erase(it);
   }
+  return true;
+}
+
+bool RecoveryCoordinator::SendSpanIfIdle(const EdgeKey& key, uint64_t n) {
+  EdgeState& edge = edges_[key];
+  if (!edge.pending.empty() || !edge.arrived.empty()) return false;
+  edge.next_seq += n;
+  edge.applied_seq += n;
+  section_.reliable_sent += n;
+  section_.reliable_applied += n;
   return true;
 }
 

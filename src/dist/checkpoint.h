@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -160,9 +161,11 @@ class RecoveryCoordinator {
   /// source-local edges, and reliable-edge applies — EXCEPT migration
   /// replay, which replays the log without re-logging.
   void LogDelivery(int op, size_t port, const Tuple& tuple);
+  /// \brief LogDelivery for every tuple of \p tuples, in order.
+  void LogDeliveries(int op, size_t port, TupleSpan tuples);
   /// \brief The post-snapshot delivery suffix of \p op, in original arrival
   /// order across all ports and producers.
-  const std::vector<Delivery>& DeliveryLog(int op) const;
+  std::span<const Delivery> DeliveryLog(int op) const;
   void CountReplayedTuples(uint64_t n);
 
   // -- Acked edges -----------------------------------------------------------
@@ -201,6 +204,14 @@ class RecoveryCoordinator {
   /// the arrival was fresh.
   bool Deliver(const EdgeKey& key, uint64_t seq, const Tuple& tuple,
                const ApplyFn& apply);
+
+  /// \brief Sends and applies \p n tuples on \p key in one step, when the
+  /// edge holds nothing pending and nothing buffered out of order. Then n
+  /// RecordSend + in-order Deliver pairs would leave nothing behind, so only
+  /// the books move: both sequence counters and reliable_sent /
+  /// reliable_applied advance by n. The caller logs and applies the tuples.
+  /// Returns false, touching nothing, when the edge is not idle.
+  bool SendSpanIfIdle(const EdgeKey& key, uint64_t n);
 
   /// \brief Finds every pending send whose retry is due at epoch \p eid,
   /// advances its backoff (capped exponential, `max_backoff_epochs`), and
@@ -266,12 +277,23 @@ class RecoveryCoordinator {
     std::map<uint64_t, Tuple> arrived;        ///< received, awaiting a gap
   };
 
+  /// Delivery log of one operator: its first `fill` slots are live. A
+  /// snapshot resets `fill` and keeps the slots, so later deliveries are
+  /// copy-assigned into retained tuples (keeping their value storage)
+  /// instead of allocating fresh ones.
+  struct Log {
+    std::vector<Delivery> slots;
+    size_t fill = 0;
+
+    void Append(size_t port, const Tuple& tuple);
+  };
+
   RecoveryConfig config_;
   bool started_ = false;
   uint64_t current_eid_ = 0;
   uint64_t last_ckpt_eid_ = 0;
   std::map<int, Blob> blobs_;
-  std::map<int, std::vector<Delivery>> logs_;
+  std::map<int, Log> logs_;
   std::map<EdgeKey, EdgeState> edges_;
   /// Armed replay-suppression windows: op -> highest suppressed emission
   /// index.

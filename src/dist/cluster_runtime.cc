@@ -130,6 +130,19 @@ int ClusterRuntime::ProducerHost(const EdgeKey& key) const {
   return partition_host_merged_[p];
 }
 
+bool ClusterRuntime::SpanRoute() const {
+  if (exec_mode_ == ExecMode::kTuple || overload_active() ||
+      adaptive_active()) {
+    return false;
+  }
+  if (!faults_active()) return true;
+  // A live fault plan with no channel and no membership directive holds
+  // kills only; under recovery those act at epoch boundaries too.
+  const FaultPlan& plan = faults_->plan();
+  return recovery_active() && plan.channels.empty() &&
+         !plan.membership_enabled();
+}
+
 OperatorPtr ClusterRuntime::MakeInstance(int id) {
   const DistOperator& op = plan_->op(id);
   if (op.kind == DistOpKind::kMerge) {
@@ -600,11 +613,20 @@ void ClusterRuntime::WireLocalEdge(int producer, int consumer, size_t port) {
   // connect same-host operators, so both endpoints always migrate together
   // and the edge itself can never lose a tuple.
   ClusterRuntime* self = this;
-  prod->AddSink([self, consumer, port](const Tuple& t) {
+  auto per_tuple = [self, consumer, port](const Tuple& t) {
     if (self->replaying_) return;
     self->recovery_->LogDelivery(consumer, port, t);
     self->instances_[consumer]->Push(port, t);
-  });
+  };
+  if (SpanRoute()) {
+    prod->AddSink(per_tuple, [self, consumer, port](TupleSpan batch) {
+      if (self->replaying_) return;
+      self->recovery_->LogDeliveries(consumer, port, batch);
+      self->instances_[consumer]->PushBatch(port, batch);
+    });
+  } else {
+    prod->AddSink(per_tuple);
+  }
   prod->AddFinishHook([self, consumer, port]() {
     self->instances_[consumer]->Finish(port);
   });
@@ -645,11 +667,21 @@ void ClusterRuntime::AttachRemoteSinks(int child) {
   Operator* prod = instances_[child].get();
   ClusterRuntime* self = this;
   if (recovery_active()) {
-    // Per-tuple only: acked edges sequence, log and (during replay)
-    // suppress at tuple granularity. EmitBatch falls back to a per-tuple
-    // loop over this sink; only the advisory batch counters differ.
-    prod->AddSink(
-        [self, child](const Tuple& t) { self->EmitRemoteReliable(child, t); });
+    auto per_tuple = [self, child](const Tuple& t) {
+      self->EmitRemoteReliable(child, t);
+    };
+    if (SpanRoute()) {
+      // Whole emitted batches cross as spans, edge by edge; suppression is
+      // still decided per emission index.
+      prod->AddSink(per_tuple, [self, child](TupleSpan batch) {
+        self->EmitRemoteReliableSpan(child, batch);
+      });
+    } else {
+      // A per-send controller (channel draws, partition refusals) is armed:
+      // keep tuple-major order, so each tuple draws the same channel fault
+      // on every execution path. EmitBatch loops this sink per tuple.
+      prod->AddSink(per_tuple);
+    }
     return;
   }
   const std::vector<Edge>* shared_edges = &remote_edges_[child];
@@ -723,7 +755,7 @@ void ClusterRuntime::AttachResultSink(int id) {
   // lazy-creation shape.
   TupleBatch* out = &result_.outputs[name];
   if (recovery_active()) {
-    instances_[id]->AddSink([self, id, out](const Tuple& t) {
+    auto per_tuple = [self, id, out](const Tuple& t) {
       if (self->faults_ != nullptr &&
           !self->faults_->host_alive(self->op_host_[id])) {
         // No survivor existed to migrate onto: like the lossy path, flush
@@ -734,6 +766,16 @@ void ClusterRuntime::AttachResultSink(int id) {
       uint64_t idx = self->instances_[id]->stats().tuples_out;
       if (self->recovery_->Suppress(id, idx)) return;
       out->push_back(t);
+    };
+    if (!SpanRoute()) {
+      instances_[id]->AddSink(per_tuple);
+      return;
+    }
+    // On the span route every kill migrates onto a survivor, so the sink's
+    // host is alive.
+    instances_[id]->AddSink(per_tuple, [self, id, out](TupleSpan batch) {
+      size_t skip = self->SuppressedPrefix(id, batch.size());
+      out->insert(out->end(), batch.begin() + skip, batch.end());
     });
     return;
   }
@@ -881,6 +923,52 @@ void ClusterRuntime::SendReliable(int producer_key, int from,
     // happen above the channel, in the coordinator.
     return true;
   });
+}
+
+size_t ClusterRuntime::SuppressedPrefix(int op, size_t n) {
+  // EmitBatch has already counted the batch, so its first tuple carries
+  // emission index tuples_out - n + 1.
+  uint64_t first = instances_[op]->stats().tuples_out - n + 1;
+  size_t skip = 0;
+  while (skip < n && recovery_->Suppress(op, first + skip)) ++skip;
+  return skip;
+}
+
+void ClusterRuntime::EmitRemoteReliableSpan(int child, TupleSpan batch) {
+  // Unlike EmitRemoteReliable, no dead-host check: on the span route every
+  // kill migrates the producer onto a survivor.
+  TupleSpan live = batch.subspan(SuppressedPrefix(child, batch.size()));
+  if (live.empty()) return;
+  size_t enc_bytes = 0;
+  auto decoded = RoundTripBatch(live, &enc_bytes);
+  SP_CHECK(decoded.ok()) << decoded.status().ToString();
+  int from = op_host_[child];
+  for (const Edge& e : remote_edges_[child]) {
+    SendReliableSpan(child, from, live, *decoded, enc_bytes, e.consumer,
+                     e.port);
+  }
+}
+
+void ClusterRuntime::SendReliableSpan(int producer_key, int from,
+                                      TupleSpan wire, TupleSpan decoded,
+                                      size_t enc_bytes, int consumer,
+                                      size_t port) {
+  EdgeKey key{producer_key, consumer, port};
+  int to = op_host_[consumer];
+  const bool healthy =
+      from == to || ((faults_ == nullptr || !faults_->PairSevered(from, to)) &&
+                     ChannelForPair(from, to) == nullptr);
+  if (!healthy || !recovery_->SendSpanIfIdle(key, decoded.size())) {
+    for (size_t i = 0; i < wire.size(); ++i) {
+      SendReliable(producer_key, from, wire[i], decoded[i], consumer, port);
+    }
+    return;
+  }
+  // Idle and healthy: n sends would each be applied on arrival, in order,
+  // leaving nothing pending — exactly what SendSpanIfIdle booked.
+  if (from != to) AccountTransferBatch(from, to, decoded.size(), enc_bytes);
+  recovery_->LogDeliveries(consumer, port, decoded);
+  instances_[consumer]->PushBatch(port, decoded);
 }
 
 void ClusterRuntime::DeliverReliable(const EdgeKey& key, uint64_t seq,
@@ -1110,7 +1198,7 @@ void ClusterRuntime::ReplayDeliveryLogs(const std::vector<int>& migrated,
   // so replay has no side effects outside the restored instances.
   replaying_ = true;
   for (int id : migrated) {
-    const auto& log = recovery_->DeliveryLog(id);
+    const auto log = recovery_->DeliveryLog(id);
     for (const RecoveryCoordinator::Delivery& d : log) {
       instances_[id]->Push(d.port, d.tuple);
     }
@@ -1231,29 +1319,54 @@ void ClusterRuntime::DeliverSource(const std::string& source, int p,
 
 void ClusterRuntime::PushSourceBatch(const std::string& source,
                                      TupleSpan batch) {
-  if (faults_active() || recovery_active() || overload_active() ||
-      adaptive_active()) {
-    // Kills act at tuple granularity (a host can die mid-batch), channel
-    // faults must draw the same deterministic sequence on both execution
-    // paths, acked edges sequence per tuple, shed/budget admission is a
-    // per-tuple decision, and adaptive epoch snapshots must observe every
-    // source-time boundary — so the batched route degenerates to per-tuple
-    // delivery while any of them is live.
-    for (const Tuple& tuple : batch) PushSource(source, tuple);
-    return;
-  }
-  if (exec_mode_ == ExecMode::kTuple) {
-    // Differential oracle mode: the batched route degenerates to the
-    // per-tuple path wholesale.
+  if (!SpanRoute()) {
+    // Channel faults must draw the same deterministic sequence on both
+    // execution paths, partitions refuse per send, shed/budget admission is
+    // a per-tuple decision, adaptive snapshots read live per-tuple intake,
+    // and lossy kills act at tuple granularity — so the batched route
+    // degenerates to per-tuple delivery while any of them is live, as it
+    // does wholesale in the kTuple differential oracle mode.
     for (const Tuple& tuple : batch) PushSource(source, tuple);
     return;
   }
   auto it = routing_.find(source);
   if (it == routing_.end() || partitioner_ == nullptr) return;
-  const auto& partitions = it->second;
   const std::vector<int>& hosts = partition_hosts_.at(source);
+  if (!recovery_active()) {
+    RouteSlice(it->second, hosts, batch);
+    return;
+  }
+  // Epoch slices: the recovery and kill hooks act only where source time
+  // advances past everything seen so far (on any other tuple each of them
+  // returns at once), so cutting there and running the hooks once per cut
+  // lands checkpoints and kills exactly where the per-tuple route does.
+  size_t begin = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!AdvancesSourceTime(batch[i])) continue;
+    if (i > begin) {
+      RouteSlice(it->second, hosts, batch.subspan(begin, i - begin));
+    }
+    ObserveSourceTime(batch[i]);
+    begin = i;
+  }
+  if (begin < batch.size()) {
+    RouteSlice(it->second, hosts, batch.subspan(begin));
+  }
+}
 
-  // One routing pass buckets the batch by partition. Buckets are scratch
+bool ClusterRuntime::AdvancesSourceTime(const Tuple& tuple) const {
+  if (source_time_idx_ < 0 ||
+      source_time_idx_ >= static_cast<int>(tuple.values().size())) {
+    return false;
+  }
+  return !max_source_time_.has_value() ||
+         tuple.at(source_time_idx_).AsUint64() > *max_source_time_;
+}
+
+void ClusterRuntime::RouteSlice(
+    const std::vector<std::vector<Edge>>& partitions,
+    const std::vector<int>& hosts, TupleSpan slice) {
+  // One routing pass buckets the slice by partition. Buckets are scratch
   // slots reused across calls: a routed tuple is copy-assigned into a
   // retained slot, which keeps the slot's value storage, instead of being
   // freed by clear() and allocated again by push_back().
@@ -1261,7 +1374,7 @@ void ClusterRuntime::PushSourceBatch(const std::string& source,
     bucket_scratch_.resize(partitions.size());
   }
   bucket_fill_.assign(partitions.size(), 0);
-  for (const Tuple& tuple : batch) {
+  for (const Tuple& tuple : slice) {
     int p = partitioner_->PartitionOf(tuple);
     if (p >= static_cast<int>(partitions.size())) continue;
     TupleBatch& slots = bucket_scratch_[p];
@@ -1280,11 +1393,12 @@ void ClusterRuntime::PushSourceBatch(const std::string& source,
     int src_host = hosts[p];
     result_.hosts[src_host].source_tuples += bucket.size();
     result_.source_tuples += bucket.size();
-    if (exec_mode_ == ExecMode::kColumnar &&
+    if (exec_mode_ == ExecMode::kColumnar && !recovery_active() &&
         col_bucket_scratch_.FromTuples(bucket)) {
       // Columnar delivery: convert the bucket to column-major form once and
       // push borrowed views. Buckets that are not fixed-width representable
-      // fall through to the row path below.
+      // fall through to the row path below, as does every bucket under
+      // recovery (acked edges log and sequence rows).
       DeliverBucketColumns(partitions[p], bucket.size(), src_host);
       continue;
     }
@@ -1294,17 +1408,27 @@ void ClusterRuntime::PushSourceBatch(const std::string& source,
     size_t enc_bytes = 0;
     for (const Edge& edge : partitions[p]) {
       int to_host = op_host_[edge.consumer];
+      TupleSpan delivered = bucket;
       if (to_host != src_host) {
         if (!decoded.has_value()) {
           auto rt = RoundTripBatch(bucket, &enc_bytes);
           SP_CHECK(rt.ok()) << rt.status().ToString();
           decoded = std::move(*rt);
         }
-        AccountTransferBatch(src_host, to_host, bucket.size(), enc_bytes);
-        instances_[edge.consumer]->PushBatch(edge.port, *decoded);
-      } else {
-        instances_[edge.consumer]->PushBatch(edge.port, bucket);
+        delivered = *decoded;
       }
+      if (recovery_active()) {
+        // Every source edge is acked and sequenced (same-host edges skip
+        // the network but keep their ordering), so a later migration can
+        // always recover in-flight tuples.
+        SendReliableSpan(-(static_cast<int>(p) + 1), src_host, bucket,
+                         delivered, enc_bytes, edge.consumer, edge.port);
+        continue;
+      }
+      if (to_host != src_host) {
+        AccountTransferBatch(src_host, to_host, bucket.size(), enc_bytes);
+      }
+      instances_[edge.consumer]->PushBatch(edge.port, delivered);
     }
   }
 }
@@ -1412,6 +1536,9 @@ void ClusterRuntime::ObserveSourceTime(const Tuple& tuple) {
     return;
   }
   uint64_t time = tuple.at(source_time_idx_).AsUint64();
+  if (!max_source_time_.has_value() || time > *max_source_time_) {
+    max_source_time_ = time;
+  }
   // Order matters: the fault controller drains reorder/queue deliveries for
   // the closing epoch first (arrivals ack their sender buffers), then due
   // retransmits fire, then a due checkpoint snapshots the settled state,

@@ -18,6 +18,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,8 +84,10 @@ class ClusterRuntime {
   /// form once and delivers it via PushColumns — local consumers borrow the
   /// columns, cross-host edges encode the columns once per bucket
   /// (byte-identical wire accounting to the row path). Must be called before
-  /// Build. Columnar applies to the healthy branch only: armed controllers
-  /// degenerate to per-tuple routing in every mode.
+  /// Build. Columnar applies to unarmed runs only. Under lossless recovery
+  /// (with or without host kills) kBatch and kColumnar both route row
+  /// batches, cut at source-time advances; every other armed controller
+  /// degenerates to per-tuple routing in every mode.
   void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
   ExecMode exec_mode() const { return exec_mode_; }
 
@@ -134,7 +137,11 @@ class ClusterRuntime {
   /// per-partition bucketing, and — for cross-host edges — one serialization
   /// round trip per (partition bucket, producer) instead of one per tuple
   /// per consumer. All accounted metrics (source_tuples, net_tuples,
-  /// net_bytes, operator stats) are identical to the per-tuple path.
+  /// net_bytes, operator stats) are identical to the per-tuple path. Under
+  /// lossless recovery the batch is cut where source time advances: each
+  /// cut runs the epoch hooks once, then the slice routes as spans over the
+  /// acked edges. Plans with per-tuple controllers (see SpanRoute) route
+  /// tuple by tuple.
   void PushSourceBatch(const std::string& source, TupleSpan batch);
 
   /// \brief End-of-stream on every source partition; flushes all operators.
@@ -187,6 +194,13 @@ class ClusterRuntime {
   bool overload_active() const { return overload_ != nullptr; }
   /// True when the plan armed adaptive placement (dist/adaptive.h).
   bool adaptive_active() const { return adaptive_ != nullptr; }
+  /// True when every armed controller acts only at epoch boundaries, so
+  /// source batches route as epoch slices and recovery sinks take whole
+  /// emitted batches: nothing armed, or lossless recovery with or without
+  /// host kills. Channel faults (per-send draws), membership (per-send
+  /// refusal), overload (per-tuple admission), adaptive placement, kills
+  /// without recovery, and the kTuple oracle keep per-tuple delivery.
+  bool SpanRoute() const;
   /// Current host of plan operator \p id (build placement until migration).
   int OpHost(int id) const { return op_host_[id]; }
   /// Current host of an acked edge's producer: an operator's host, or the
@@ -235,6 +249,21 @@ class ClusterRuntime {
   /// (from == to) keep their sequencing but skip the network.
   void SendReliable(int producer_key, int from, const Tuple& wire,
                     const Tuple& decoded, int consumer, size_t port);
+  /// SendReliable over a span (\p decoded row i is \p wire row i after
+  /// serde; \p enc_bytes their encoded size). On a healthy, idle edge the
+  /// span moves in one step: books advanced by n, one log append, one
+  /// PushBatch, and one AccountTransferBatch when the edge crosses hosts.
+  /// Otherwise each tuple takes SendReliable in order.
+  void SendReliableSpan(int producer_key, int from, TupleSpan wire,
+                        TupleSpan decoded, size_t enc_bytes, int consumer,
+                        size_t port);
+  /// Span flavor of EmitRemoteReliable for one emitted batch: the
+  /// suppressed prefix is dropped by emission index, the rest makes one
+  /// shared round trip and one SendReliableSpan per remote edge.
+  void EmitRemoteReliableSpan(int child, TupleSpan batch);
+  /// How many leading tuples of \p op's just-emitted \p n-tuple batch fall
+  /// inside its replay-suppression window (a prefix: indices increase).
+  size_t SuppressedPrefix(int op, size_t n);
   /// Receiving side of an acked edge: acks the sender buffer, discards
   /// duplicates, applies in sequence order (log + push).
   void DeliverReliable(const EdgeKey& key, uint64_t seq, const Tuple& tuple,
@@ -284,6 +313,13 @@ class ClusterRuntime {
   /// per-edge delivery loop for partition \p p on \p src_host.
   void DeliverSource(const std::string& source, int p, int src_host,
                      const Tuple& tuple);
+  /// Batched route of one slice: buckets it by partition and delivers each
+  /// bucket as a span to every consumer edge of its partition.
+  void RouteSlice(const std::vector<std::vector<Edge>>& partitions,
+                  const std::vector<int>& hosts, TupleSpan slice);
+  /// True when \p tuple's source time exceeds every time observed so far
+  /// (or is the first one): the epoch hooks may act before it routes.
+  bool AdvancesSourceTime(const Tuple& tuple) const;
   /// Columnar-mode delivery of one per-partition bucket (already converted
   /// into col_bucket_scratch_): local consumers borrow the columns, remote
   /// edges encode them once and push the re-columnarized decode.
@@ -401,6 +437,9 @@ class ClusterRuntime {
   /// Index of the source schema's temporal column (-1: no epoch notion,
   /// kills never trigger).
   int source_time_idx_ = -1;
+  /// Largest source time ObserveSourceTime has seen (empty before the
+  /// first): PushSourceBatch cuts epoch slices where it advances.
+  std::optional<uint64_t> max_source_time_;
   /// Merged partition -> host map across streams (plan placement;
   /// migration re-homes).
   std::vector<int> partition_host_merged_;

@@ -636,39 +636,36 @@ void AggregateOp::FlushWindow() {
 void AggregateOp::DoFinish() { FlushWindow(); }
 
 void AggregateOp::CheckpointState(std::string* out) const {
-  // Layout: u8 has-epoch [value], varint generic-group count then per group
-  // (varint key arity, key values, accumulator blobs), varint packed-entry
-  // count then per entry (raw fixed-width key bytes, accumulator blobs).
-  // Both tables are walked in sorted key order so the bytes are a pure
-  // function of the logical state, independent of hash-table history.
+  // Layout: u8 has-epoch [value], varint group count then per group (varint
+  // key arity, key values, accumulator blobs), and a trailing varint 0 (the
+  // retired packed-entry count). A window opened by PushBatch lives in the
+  // packed table and one opened by Push in the generic table; both write the
+  // generic layout, with packed keys decoded, in one sorted key order. So
+  // the bytes are a pure function of the logical state, independent of
+  // delivery granularity and hash-table history.
   out->push_back(current_epoch_.has_value() ? 1 : 0);
   if (current_epoch_.has_value()) EncodeValue(*current_epoch_, out);
 
-  std::vector<const GroupMap::value_type*> entries;
-  entries.reserve(groups_.size());
-  for (const auto& kv : groups_) entries.push_back(&kv);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  PutVarint(entries.size(), out);
-  for (const auto* entry : entries) {
-    PutVarint(entry->first.size(), out);
-    for (const Value& v : entry->first) EncodeValue(v, out);
-    for (const auto& state : entry->second) state->Save(out);
-  }
-
-  std::vector<std::pair<std::string_view, const GroupStates*>> packed;
-  packed.reserve(packed_table_.size());
+  std::vector<std::vector<Value>> decoded;
+  decoded.reserve(packed_table_.size());  // stable: entries point into it
+  std::vector<std::pair<const std::vector<Value>*, const GroupStates*>>
+      entries;
+  entries.reserve(groups_.size() + packed_table_.size());
+  for (const auto& [key, states] : groups_) entries.emplace_back(&key, &states);
   packed_table_.ForEach(
-      [&packed](std::string_view key, const GroupStates& states) {
-        packed.emplace_back(key, &states);
+      [&](std::string_view key, const GroupStates& states) {
+        decoded.push_back(DecodePackedKey(key));
+        entries.emplace_back(&decoded.back(), &states);
       });
-  std::sort(packed.begin(), packed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  PutVarint(packed.size(), out);
-  for (const auto& [key, states] : packed) {
-    out->append(key.data(), key.size());
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  PutVarint(entries.size(), out);
+  for (const auto& [key, states] : entries) {
+    PutVarint(key->size(), out);
+    for (const Value& v : *key) EncodeValue(v, out);
     for (const auto& state : *states) state->Save(out);
   }
+  PutVarint(0, out);
 }
 
 Status AggregateOp::RestoreState(std::string_view data) {
@@ -717,29 +714,12 @@ Status AggregateOp::RestoreState(std::string_view data) {
     }
   }
 
+  // The packed-entry count is retired: every writer emits 0.
   uint64_t packed = 0;
   SP_RETURN_NOT_OK(GetVarint(data, &offset, &packed));
-  const size_t width = node_->group_by.size() * kPackedSlotWidth;
-  for (uint64_t g = 0; g < packed; ++g) {
-    if (offset + width > data.size()) {
-      return Status::InvalidArgument(label(), ": truncated packed key");
-    }
-    std::string_view key = data.substr(offset, width);
-    offset += width;
-    bool inserted = false;
-    GroupStates* states = packed_table_.FindOrInsert(
-        key, HashBytesWide(key.data(), key.size()), &inserted);
-    if (!inserted) {
-      return Status::InvalidArgument(label(),
-                                     ": duplicate packed key in checkpoint");
-    }
-    *states = NewStates();
-    for (size_t i = 0; i < states->size(); ++i) {
-      if (!(*states)[i]->Load(data, &offset)) {
-        return Status::InvalidArgument(label(), ": malformed accumulator ", i,
-                                       " (", node_->aggregates[i].udaf, ")");
-      }
-    }
+  if (packed != 0) {
+    return Status::InvalidArgument(label(), ": retired packed-entry count ",
+                                   packed, " is not 0");
   }
   if (offset != data.size()) {
     return Status::InvalidArgument(label(), ": checkpoint has ",

@@ -51,45 +51,6 @@ void SerializeSummary(const std::vector<sketch::CmSketch>& sketches,
   for (const auto& [key, hash] : candidates) sketch::PutBytes(out, key);
 }
 
-/// \brief Parses a summary blob and folds it into \p sketches /
-/// \p candidates (merging grids cell-wise, unioning keys).
-Status MergeSummary(std::string_view blob,
-                    std::vector<sketch::CmSketch>* sketches,
-                    std::map<std::string, uint64_t>* candidates) {
-  size_t offset = 0;
-  uint32_t magic = 0;
-  SP_RETURN_NOT_OK(sketch::GetU32(blob, &offset, &magic));
-  if (magic != kSummaryMagic) {
-    return Status::InvalidArgument("bad sketch summary magic ", magic);
-  }
-  uint32_t count = 0;
-  SP_RETURN_NOT_OK(sketch::GetU32(blob, &offset, &count));
-  if (count != sketches->size()) {
-    return Status::InvalidArgument("sketch summary has ", count,
-                                   " grids, expected ", sketches->size());
-  }
-  for (sketch::CmSketch& mine : *sketches) {
-    auto theirs = sketch::CmSketch::Deserialize(blob, &offset);
-    SP_RETURN_NOT_OK(theirs.status());
-    SP_RETURN_NOT_OK(mine.Merge(*theirs));
-  }
-  uint64_t num_keys = 0;
-  SP_RETURN_NOT_OK(sketch::GetU64(blob, &offset, &num_keys));
-  if (num_keys > blob.size()) {
-    return Status::InvalidArgument("implausible candidate count ", num_keys);
-  }
-  for (uint64_t i = 0; i < num_keys; ++i) {
-    std::string key;
-    SP_RETURN_NOT_OK(sketch::GetBytes(blob, &offset, &key));
-    uint64_t hash = HashBytes(key);
-    candidates->emplace(std::move(key), hash);
-  }
-  if (offset != blob.size()) {
-    return Status::InvalidArgument("trailing bytes in sketch summary");
-  }
-  return Status::OK();
-}
-
 /// \brief The checkpoint layout SketchOp and SketchMergeOp share: u8
 /// has-epoch [value], the open epoch's serialized grids, u64 candidate
 /// count then each encoded key. Candidates iterate sorted, so the bytes are
@@ -114,6 +75,18 @@ bool CandidateKeyDecodes(std::string_view key, size_t values) {
     if (!DecodeValue(key, &offset, &v).ok()) return false;
   }
   return offset == key.size();
+}
+
+/// \brief \p bytes as lowercase hex, for naming a rejected key.
+std::string HexBytes(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(2 * bytes.size());
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
 }
 
 /// \brief Inverse of CheckpointSketchState into a freshly reset op. Rejects
@@ -173,6 +146,64 @@ Status RestoreSketchState(std::string_view data, const std::string& label,
 }
 
 }  // namespace
+
+Status MergeSummary(std::string_view blob, size_t key_values,
+                    std::vector<sketch::CmSketch>* sketches,
+                    std::map<std::string, uint64_t>* candidates) {
+  // Parse and check everything first: a rejected blob leaves the merged
+  // state untouched.
+  size_t offset = 0;
+  uint32_t magic = 0;
+  SP_RETURN_NOT_OK(sketch::GetU32(blob, &offset, &magic));
+  if (magic != kSummaryMagic) {
+    return Status::InvalidArgument("bad sketch summary magic ", magic);
+  }
+  uint32_t count = 0;
+  SP_RETURN_NOT_OK(sketch::GetU32(blob, &offset, &count));
+  if (count != sketches->size()) {
+    return Status::InvalidArgument("sketch summary has ", count,
+                                   " grids, expected ", sketches->size());
+  }
+  std::vector<sketch::CmSketch> theirs;
+  theirs.reserve(count);
+  for (const sketch::CmSketch& mine : *sketches) {
+    auto grid = sketch::CmSketch::Deserialize(blob, &offset);
+    SP_RETURN_NOT_OK(grid.status());
+    if (!(grid->params() == mine.params())) {
+      return Status::InvalidArgument(
+          "sketch summary grid differs from the merged grid");
+    }
+    theirs.push_back(std::move(*grid));
+  }
+  uint64_t num_keys = 0;
+  SP_RETURN_NOT_OK(sketch::GetU64(blob, &offset, &num_keys));
+  if (num_keys > blob.size()) {
+    return Status::InvalidArgument("implausible candidate count ", num_keys);
+  }
+  std::vector<std::string> keys;
+  for (uint64_t i = 0; i < num_keys; ++i) {
+    std::string key;
+    SP_RETURN_NOT_OK(sketch::GetBytes(blob, &offset, &key));
+    // A flush decodes every candidate back into the group values.
+    if (!CandidateKeyDecodes(key, key_values)) {
+      return Status::InvalidArgument(
+          "sketch summary candidate key ", i, " (0x", HexBytes(key),
+          ") is not ", key_values, " encoded group values");
+    }
+    keys.push_back(std::move(key));
+  }
+  if (offset != blob.size()) {
+    return Status::InvalidArgument("trailing bytes in sketch summary");
+  }
+  for (size_t i = 0; i < theirs.size(); ++i) {
+    SP_RETURN_NOT_OK((*sketches)[i].Merge(theirs[i]));
+  }
+  for (std::string& key : keys) {
+    uint64_t hash = HashBytes(key);
+    candidates->emplace(std::move(key), hash);
+  }
+  return Status::OK();
+}
 
 SchemaPtr SketchSummarySchema(const QueryNode& node) {
   SP_CHECK(node.temporal_group_idx.has_value())
@@ -344,7 +375,8 @@ void SketchMergeOp::DoPush(size_t, const Tuple& tuple) {
   current_epoch_ = epoch;
 
   const std::string& blob = tuple.at(1).string_value();
-  Status merged = MergeSummary(blob, &sketches_, &candidates_);
+  Status merged = MergeSummary(blob, node_->group_by.size() - 1, &sketches_,
+                               &candidates_);
   SP_CHECK(merged.ok()) << label() << ": " << merged.message();
   ++acc_.merged_summaries;
   acc_.merged_bytes += blob.size();

@@ -55,6 +55,15 @@ struct SketchSpec {
   friend bool operator==(const SketchSpec&, const SketchSpec&) = default;
 };
 
+/// \brief Parses a SketchOp summary blob and folds it into \p sketches /
+/// \p candidates: grids merge cell-wise, candidate keys union. Each
+/// candidate key must decode to exactly \p key_values encoded Values (the
+/// non-temporal group values a flush decodes back out of it). A blob that
+/// fails any check is rejected before anything merges.
+Status MergeSummary(std::string_view blob, size_t key_values,
+                    std::vector<sketch::CmSketch>* sketches,
+                    std::map<std::string, uint64_t>* candidates);
+
 /// \brief Host-side sketch builder over a kAggregate node.
 ///
 /// Applies the node's WHERE, evaluates the group-by expressions, and folds

@@ -68,7 +68,7 @@ struct RecoveryRun {
 RecoveryRun RunCluster(const QueryGraph& graph, const ExperimentConfig& config,
                        int num_hosts, const TupleBatch& trace,
                        size_t batch_size, double duration_sec,
-                       bool attach_plan) {
+                       bool attach_plan, ExecMode mode = ExecMode::kBatch) {
   ClusterConfig cluster;
   cluster.num_hosts = num_hosts;
   cluster.partitions_per_host = 2;
@@ -76,6 +76,7 @@ RecoveryRun RunCluster(const QueryGraph& graph, const ExperimentConfig& config,
       OptimizeForPartitioning(graph, cluster, config.ps, config.optimizer);
   SP_CHECK(plan.ok()) << plan.status().ToString();
   ClusterRuntime runtime(&graph, &*plan, cluster);
+  runtime.set_exec_mode(mode);
   if (attach_plan) runtime.set_fault_plan(config.faults);
   Status st = runtime.Build(config.ps);
   SP_CHECK(st.ok()) << st.ToString();
@@ -183,13 +184,82 @@ TEST_F(RecoveryTest, KillAndLossyChannelsRecoverExactlyOnceOnBothPaths) {
     }
     EXPECT_GT(channel_retx, 0u) << ctx;
 
-    // The batched path degenerates to per-tuple under recovery, so the two
-    // paths must agree to the byte — ledger included.
+    // Channel faults draw per send, so the batched path degenerates to
+    // per-tuple delivery and the two paths must agree to the byte — ledger
+    // included.
     if (first_jsonl.empty()) {
       first_jsonl = faulty.ledger.ToJsonl();
       EXPECT_NE(first_jsonl.find("\"record\":\"recovery\""), std::string::npos);
     } else {
       EXPECT_EQ(first_jsonl, faulty.ledger.ToJsonl()) << ctx;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Armed recovery on the batched route: epoch slices equal per-tuple delivery
+// ---------------------------------------------------------------------------
+
+TEST_F(RecoveryTest, ArmedRecoveryBatchedRouteMatchesPerTupleToTheByte) {
+  AddFlows();
+  TupleBatch trace = SmallTrace();
+  // Checkpoints and kills act only at epoch boundaries, so these plans route
+  // source batches as epoch slices and cross every acked edge as spans. The
+  // kTuple oracle routes the same plan tuple by tuple, sinks included.
+  struct PlanCase {
+    ExperimentConfig config;
+    std::vector<int> stateful_hosts;  // hosts running a stateful operator
+  };
+  const PlanCase plans[] = {
+      {Config("Naive", "", Mode::kPerPartition, false), {0, 1, 2}},
+      {Config("PerHost", "srcIP", Mode::kPerHost, true), {0, 1, 2}},
+      {Config("Central", "srcIP", Mode::kNone, false), {0}},
+  };
+  struct FaultCase {
+    const char* plan;
+    int killed;  // -1: no kill
+  };
+  const FaultCase faults[] = {
+      {"ckpt 1", -1},
+      {"ckpt 2\nepoch_width 2", -1},
+      {"ckpt 4", -1},
+      {"ckpt 2\nkill host=1 epoch=3", 1},
+      {"ckpt 4\nkill host=1 epoch=2", 1},
+      {"ckpt 3\nkill host=0 epoch=4", 0},
+  };
+  for (const PlanCase& pc : plans) {
+    RecoveryRun healthy = RunCluster(graph_, pc.config, 3, trace, 0, 6.0,
+                                     /*attach_plan=*/false);
+    for (const FaultCase& fc : faults) {
+      ExperimentConfig armed = pc.config;
+      armed.faults = Plan(fc.plan);
+      RecoveryRun oracle = RunCluster(graph_, armed, 3, trace, 0, 6.0,
+                                      /*attach_plan=*/true, ExecMode::kTuple);
+      const bool expect_replay =
+          fc.killed >= 0 &&
+          std::count(pc.stateful_hosts.begin(), pc.stateful_hosts.end(),
+                     fc.killed) > 0;
+      for (size_t batch_size : {size_t{7}, size_t{64}, kDefaultSourceBatch}) {
+        std::string ctx = pc.config.name + " / " + fc.plan +
+                          " @batch=" + std::to_string(batch_size);
+        RecoveryRun run = RunCluster(graph_, armed, 3, trace, batch_size, 6.0,
+                                     /*attach_plan=*/true);
+        EXPECT_EQ(oracle.ledger.ToJsonl(), run.ledger.ToJsonl()) << ctx;
+        for (const auto& [name, expected] : healthy.result.outputs) {
+          ExpectSameMultiset(expected, run.result.outputs.at(name),
+                             ctx + " / " + name);
+        }
+        EXPECT_TRUE(run.quiesced) << ctx;
+        const RecoverySection& rec = run.ledger.recovery();
+        ASSERT_TRUE(rec.active) << ctx;
+        EXPECT_GT(rec.checkpoints, 0u) << ctx;
+        EXPECT_EQ(rec.reliable_sent, rec.reliable_applied) << ctx;
+        EXPECT_EQ(rec.replayed_tuples > 0, expect_replay) << ctx;
+        if (fc.killed >= 0) {
+          EXPECT_EQ(run.result.dead_hosts, std::vector<int>{fc.killed})
+              << ctx;
+        }
+      }
     }
   }
 }

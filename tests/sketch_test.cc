@@ -551,6 +551,68 @@ TEST_F(SketchExecTest, MergeOpCheckpointRestoreRoundTrips) {
   for (size_t i = 0; i < a_out.size(); ++i) EXPECT_EQ(a_out[i], b_out[i]);
 }
 
+TEST_F(SketchExecTest, MergeSummaryRejectsCandidateKeyThatDoesNotDecode) {
+  SketchSpec spec;
+  spec.eps = 0.05;
+  // A hand-built summary for one COUNT slot over (tb, srcIP): one empty grid
+  // and one candidate key of a single byte — an IP tag with no payload,
+  // which is not the one encoded srcIP value a flush decodes.
+  std::string blob;
+  PutU32(&blob, 0x534b5331);  // "SKS1"
+  PutU32(&blob, 1);
+  CmSketch(spec.Grid()).Serialize(&blob);
+  PutU64(&blob, 1);
+  PutBytes(&blob, std::string(1, static_cast<char>(DataType::kIp)));
+
+  std::vector<CmSketch> sketches{CmSketch(spec.Grid())};
+  std::map<std::string, uint64_t> candidates;
+  Status st = MergeSummary(blob, /*key_values=*/1, &sketches, &candidates);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("candidate key 0 (0x06)"), std::string::npos)
+      << st.ToString();
+  EXPECT_TRUE(candidates.empty());
+}
+
+TEST_F(SketchExecTest, MutatedSummariesAreRejectedOrFlushCleanly) {
+  QueryNodePtr node = Node(
+      "c", "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP "
+           "GROUP BY time/10 as tb, srcIP APPROX 0.05");
+  SketchSpec spec;
+  spec.eps = 0.05;
+  TupleBatch summaries;
+  SketchOp host(node, spec);
+  host.AddSink([&](const Tuple& t) { summaries.push_back(t); });
+  for (const Tuple& t : SkewedPackets(600)) host.Push(0, t);
+  host.Finish(0);
+  ASSERT_FALSE(summaries.empty());
+
+  Rng rng(20080609);
+  int rejected = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const Tuple& valid = summaries[i % summaries.size()];
+    std::string mutant =
+        testing::MutateEncoding(valid.at(1).string_value(), &rng);
+    std::vector<CmSketch> sketches(2, CmSketch(spec.Grid()));
+    std::map<std::string, uint64_t> candidates;
+    if (!MergeSummary(mutant, /*key_values=*/1, &sketches, &candidates).ok()) {
+      ++rejected;
+      // Rejected before anything merged.
+      EXPECT_TRUE(candidates.empty()) << "mutant " << i;
+      for (const CmSketch& s : sketches) EXPECT_EQ(s.total(), 0u);
+      continue;
+    }
+    // Accepted: the merge op must flush the epoch without aborting.
+    SketchMergeOp merge(node, spec);
+    size_t rows = 0;
+    merge.AddSink([&rows](const Tuple&) { ++rows; });
+    merge.Push(0, Tuple(std::vector<Value>{valid.at(0),
+                                           Value::String(mutant)}));
+    merge.Finish(0);
+    EXPECT_EQ(rows, candidates.size()) << "mutant " << i;
+  }
+  EXPECT_GT(rejected, 0) << "the mutator never broke a summary";
+}
+
 // ---------------------------------------------------------------------------
 // The third outcome end to end: optimizer choice, bounds, ledger
 // ---------------------------------------------------------------------------

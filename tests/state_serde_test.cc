@@ -164,8 +164,47 @@ TEST_F(StateSerdeTest, AggregateRoundTripBatched) {
   QueryNodePtr node = Node(
       "counts", "SELECT tb, srcIP, COUNT(*) as c, SUM(len) as s FROM TCP "
                 "GROUP BY time/10 as tb, srcIP");
-  // The batched path uses the packed-key table; the blob must carry it.
+  // The batched path uses the packed-key table; the blob carries its groups
+  // in the generic layout.
   ExpectRoundTrip(node, Packets(), 17, true, true);
+}
+
+TEST_F(StateSerdeTest, AggregateCheckpointIndependentOfDeliveryGranularity) {
+  QueryNodePtr node = Node(
+      "counts", "SELECT tb, srcIP, COUNT(*) as c, SUM(len) as s FROM TCP "
+                "GROUP BY time/10 as tb, srcIP");
+  // Push opens the window in the generic table, PushBatch in the packed
+  // one; the same logical state must serialize to the same bytes, or the
+  // checkpoint byte count (and every host's modeled CPU) would depend on
+  // how tuples were delivered.
+  const TupleBatch input = Packets();
+  for (size_t split : {size_t{0}, size_t{5}, size_t{17}, input.size()}) {
+    OperatorPtr per_tuple = Make(node);
+    OperatorPtr batched = Make(node);
+    for (size_t i = 0; i < split; ++i) per_tuple->Push(0, input[i]);
+    batched->PushBatch(0, TupleSpan(input.data(), split));
+    std::string tuple_blob, batch_blob;
+    per_tuple->CheckpointState(&tuple_blob);
+    batched->CheckpointState(&batch_blob);
+    EXPECT_EQ(tuple_blob, batch_blob) << "split " << split;
+  }
+}
+
+TEST_F(StateSerdeTest, AggregateRejectsRetiredPackedEntries) {
+  QueryNodePtr node = Node(
+      "counts", "SELECT tb, srcIP, COUNT(*) as c FROM TCP "
+                "GROUP BY time/10 as tb, srcIP");
+  const TupleBatch input = Packets();
+  OperatorPtr first = Make(node);
+  first->PushBatch(0, TupleSpan(input.data(), 17));
+  std::string blob;
+  first->CheckpointState(&blob);
+  ASSERT_EQ(blob.back(), '\0') << "trailing packed-entry count is 0";
+  blob.back() = '\1';
+  Status st = Make(node)->RestoreState(blob);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("packed-entry count"), std::string::npos)
+      << st.ToString();
 }
 
 TEST_F(StateSerdeTest, AggregateRoundTripCrossPath) {
